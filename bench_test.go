@@ -486,13 +486,13 @@ func BenchmarkAblation_AdvisorParallel(b *testing.B) {
 	})
 	b.Run("memoized", func(b *testing.B) {
 		b.ReportAllocs()
-		var memo advisor.Memo
-		if _, err := memo.Advise(g, advisor.Config{Nodes: 10}); err != nil {
+		memo := advisor.NewMemo()
+		if _, _, err := memo.Plan(g, advisor.Config{Nodes: 10}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := memo.Advise(g, advisor.Config{Nodes: 10}); err != nil {
+			if _, _, err := memo.Plan(g, advisor.Config{Nodes: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,78 +1,10 @@
 package advisor
 
-import (
-	"sync"
+import "datalife/internal/dfl"
 
-	"datalife/internal/dfl"
-)
-
-// Memo caches Advise results keyed by (graph content hash, config). Fault
-// sweeps re-analyze near-identical DFLs per seed; seeds whose measured graphs
-// come out byte-identical hit the cache and skip the whole analysis pass.
-//
-// The key is the graph's 64-bit content fingerprint (dfl.Graph.Fingerprint):
-// it covers every vertex, edge, and lifecycle property in canonical order, so
-// two graphs that hash equal produce the same plan and the cached *Plan can
-// be shared. Plans are treated as immutable by all consumers; callers that
-// want to mutate a plan must copy it first.
-//
-// A Memo is safe for concurrent use. The zero value is ready.
-type Memo struct {
-	mu    sync.Mutex
-	plans map[memoKey]*Plan
-
-	hits, misses uint64
-}
-
-type memoKey struct {
-	fp  uint64
-	cfg Config
-}
-
-// Advise returns the cached plan for (g, cfg) or computes, stores, and
-// returns it. The error path (cyclic graph) is never cached.
-func (m *Memo) Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
-	key := memoKey{fp: g.Fingerprint(), cfg: cfg.withDefaults()}
-	m.mu.Lock()
-	if p, ok := m.plans[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		return p, nil
-	}
-	m.misses++
-	m.mu.Unlock()
-
-	p, err := Advise(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	if m.plans == nil {
-		m.plans = make(map[memoKey]*Plan)
-	}
-	// Two goroutines may race to fill the same key; both computed the same
-	// plan (analysis is deterministic), so last-write-wins is fine — but keep
-	// the first so repeated lookups return a stable pointer.
-	if prev, ok := m.plans[key]; ok {
-		p = prev
-	} else {
-		m.plans[key] = p
-	}
-	m.mu.Unlock()
-	return p, nil
-}
-
-// Stats reports cache hits and misses since creation.
-func (m *Memo) Stats() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// Len returns the number of cached plans.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.plans)
+// NewMemo returns a cache of Advise results keyed by the graph's content
+// fingerprint and the config with defaults filled in (see dfl.Memo). The
+// cached *Plan is shared between hits, so callers must not mutate it.
+func NewMemo() *dfl.Memo[Config, *Plan] {
+	return dfl.NewMemo(Advise, Config.withDefaults)
 }

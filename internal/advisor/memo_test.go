@@ -24,70 +24,64 @@ func memoGraph(t *testing.T, vol uint64) *dfl.Graph {
 }
 
 func TestMemoHitOnIdenticalGraph(t *testing.T) {
-	var m Memo
+	m := NewMemo()
 	cfg := Config{Nodes: 2}
 
-	p1, err := m.Advise(memoGraph(t, 100), cfg)
+	p1, hit, err := m.Plan(memoGraph(t, 100), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := m.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("after first Advise: hits=%d misses=%d, want 0/1", hits, misses)
+	if hit {
+		t.Fatal("first Plan reported a hit")
 	}
 
 	// A separately built but content-identical graph must hit and return the
 	// same cached plan.
-	p2, err := m.Advise(memoGraph(t, 100), cfg)
+	p2, hit, err := m.Plan(memoGraph(t, 100), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 != p1 {
-		t.Fatal("content-identical graph did not return the cached plan pointer")
-	}
-	if hits, misses := m.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("after identical Advise: hits=%d misses=%d, want 1/1", hits, misses)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("memo holds %d plans, want 1", m.Len())
+	if !hit || p2 != p1 {
+		t.Fatalf("content-identical graph: hit=%v, same plan=%v; want a hit on the cached plan", hit, p2 == p1)
 	}
 }
 
 func TestMemoMissOnContentOrConfigChange(t *testing.T) {
-	var m Memo
+	m := NewMemo()
 	cfg := Config{Nodes: 2}
-	if _, err := m.Advise(memoGraph(t, 100), cfg); err != nil {
+	if _, _, err := m.Plan(memoGraph(t, 100), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different edge volume → different fingerprint → miss.
-	if _, err := m.Advise(memoGraph(t, 101), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := m.Stats(); hits != 0 || misses != 2 {
-		t.Fatalf("after content change: hits=%d misses=%d, want 0/2", hits, misses)
+	if _, hit, err := m.Plan(memoGraph(t, 101), cfg); err != nil || hit {
+		t.Fatalf("after content change: hit=%v err=%v, want a miss", hit, err)
 	}
 
 	// Same graph, different config → miss.
-	if _, err := m.Advise(memoGraph(t, 100), Config{Nodes: 4}); err != nil {
+	if _, hit, err := m.Plan(memoGraph(t, 100), Config{Nodes: 4}); err != nil || hit {
+		t.Fatalf("after config change: hit=%v err=%v, want a miss", hit, err)
+	}
+
+	// The zero config normalizes to its defaults, so spelling a default out
+	// is the same key.
+	if _, _, err := m.Plan(memoGraph(t, 100), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := m.Stats(); hits != 0 || misses != 3 {
-		t.Fatalf("after config change: hits=%d misses=%d, want 0/3", hits, misses)
-	}
-	if m.Len() != 3 {
-		t.Fatalf("memo holds %d plans, want 3", m.Len())
+	if _, hit, err := m.Plan(memoGraph(t, 100), Config{}.withDefaults()); err != nil || !hit {
+		t.Fatalf("normalized config: hit=%v err=%v, want a hit", hit, err)
 	}
 }
 
 func TestMemoMatchesDirectAdvise(t *testing.T) {
-	var m Memo
+	m := NewMemo()
 	g := memoGraph(t, 4096)
 	cfg := Config{Nodes: 2}
 	direct, err := Advise(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoized, err := m.Advise(g, cfg)
+	memoized, _, err := m.Plan(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,31 +110,25 @@ func TestChooseCheapProducerNotWorthCopying(t *testing.T) {
 
 func TestMemoCachesByFingerprint(t *testing.T) {
 	g := pipelineGraph(t)
-	var m Memo
+	m := NewMemo()
 	cfg := Config{Tier: "nfs"}
-	p1, err := m.Choose(g, cfg)
+	p1, hit, err := m.Plan(g, cfg)
+	if err != nil || hit {
+		t.Fatalf("first plan: hit=%v err=%v, want a miss", hit, err)
+	}
+	p2, hit, err := m.Plan(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := m.Choose(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	if !hit || p1 != p2 {
 		t.Fatal("repeat plan must hit the cache and return the same pointer")
 	}
-	if hits, misses := m.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
-	}
 	// A byte-identical rebuild of the graph hits too (content hash key).
-	if p3, err := m.Choose(pipelineGraph(t), cfg); err != nil || p3 != p1 {
-		t.Fatalf("identical graph missed the cache (err %v)", err)
+	if p3, hit, err := m.Plan(pipelineGraph(t), cfg); err != nil || !hit || p3 != p1 {
+		t.Fatalf("identical graph missed the cache (hit %v, err %v)", hit, err)
 	}
 	// A different config misses.
-	if _, err := m.Choose(g, Config{Tier: "nfs", CrashesPerHour: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("cached plans = %d, want 2", m.Len())
+	if _, hit, err := m.Plan(g, Config{Tier: "nfs", CrashesPerHour: 2}); err != nil || hit {
+		t.Fatalf("different config: hit=%v err=%v, want a miss", hit, err)
 	}
 }

@@ -1,72 +1,10 @@
 package checkpoint
 
-import (
-	"sync"
+import "datalife/internal/dfl"
 
-	"datalife/internal/dfl"
-)
-
-// Memo caches Choose results keyed by (graph content hash, config), the
-// same scheme as advisor.Memo: fault sweeps re-plan near-identical DFLs per
-// seed, and seeds whose measured graphs come out byte-identical reuse one
-// cached plan. Plans are treated as immutable by all consumers.
-//
-// A Memo is safe for concurrent use. The zero value is ready.
-type Memo struct {
-	mu    sync.Mutex
-	plans map[memoKey]*Plan
-
-	hits, misses uint64
-}
-
-type memoKey struct {
-	fp  uint64
-	cfg Config
-}
-
-// Choose returns the cached plan for (g, cfg) or computes, stores, and
-// returns it. The error path (cyclic graph) is never cached.
-func (m *Memo) Choose(g *dfl.Graph, cfg Config) (*Plan, error) {
-	key := memoKey{fp: g.Fingerprint(), cfg: cfg.withDefaults()}
-	m.mu.Lock()
-	if p, ok := m.plans[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		return p, nil
-	}
-	m.misses++
-	m.mu.Unlock()
-
-	p, err := Choose(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	if m.plans == nil {
-		m.plans = make(map[memoKey]*Plan)
-	}
-	// Keep the first stored plan so repeated lookups return a stable
-	// pointer even if two goroutines raced to compute it.
-	if prev, ok := m.plans[key]; ok {
-		p = prev
-	} else {
-		m.plans[key] = p
-	}
-	m.mu.Unlock()
-	return p, nil
-}
-
-// Stats reports cache hits and misses since creation.
-func (m *Memo) Stats() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// Len returns the number of cached plans.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.plans)
+// NewMemo returns a cache of Choose results keyed by the graph's content
+// fingerprint and the config with defaults filled in (see dfl.Memo). The
+// cached *Plan is shared between hits, so callers must not mutate it.
+func NewMemo() *dfl.Memo[Config, *Plan] {
+	return dfl.NewMemo(Choose, Config.withDefaults)
 }

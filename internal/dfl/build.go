@@ -1,12 +1,6 @@
 package dfl
 
-import (
-	"runtime"
-	"sync"
-
-	"datalife/internal/blockstats"
-	"datalife/internal/iotrace"
-)
+import "datalife/internal/iotrace"
 
 // Build constructs a DFL-DAG from collector measurements (§4.1): since each
 // histogram captures one or two flow relations, the graph is built simply by
@@ -15,58 +9,93 @@ import (
 func Build(col *iotrace.Collector) *Graph {
 	g := New()
 	for _, ti := range col.Tasks() {
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.Lifetime()
+		g.AddTask(ti.Name).Task.Lifetime = ti.Lifetime()
 	}
 	for _, fl := range col.Flows() {
-		addFlow(g, fl)
+		addFlow(g, iotrace.Summarize(fl))
 	}
 	return g
 }
 
-// addFlow converts one task-file histogram into its producer and/or consumer
+// BuildSaved reconstructs a DFL-DAG from a persisted measurement database
+// (iotrace.SaveJSON/LoadJSON) — the analyze-later path the paper's artifact
+// uses with its stored I/O state. It folds the same records Build does, so
+// both yield the same graph for the same measurements.
+func BuildSaved(st *iotrace.SavedState) *Graph {
+	g := New()
+	for i := range st.Tasks {
+		g.AddTask(st.Tasks[i].Name).Task.Lifetime = st.Tasks[i].Lifetime()
+	}
+	for _, sf := range st.Flows {
+		addFlow(g, sf)
+	}
+	return g
+}
+
+// addFlow converts one task-file record into its producer and/or consumer
 // edges and folds its aggregates into the endpoint vertices.
-func addFlow(g *Graph, fl *blockstats.FlowStat) {
-	task := g.AddTask(fl.Task)
-	data := g.AddData(fl.File)
-
-	if fl.FileSize() > data.Data.Size {
-		data.Data.Size = fl.FileSize()
+func addFlow(g *Graph, f iotrace.SavedFlow) {
+	task := g.AddTask(f.Task)
+	data := g.AddData(f.File)
+	task.Task.AddFlow(f)
+	data.Data.AddFlow(f)
+	read, write := FlowEdges(f)
+	if read.Ops > 0 {
+		mustEdge(g, data.ID, task.ID, Consumer, read)
 	}
-	if lt := fl.FileLifetime(); lt > data.Data.Lifetime {
-		data.Data.Lifetime = lt
+	if write.Ops > 0 {
+		mustEdge(g, task.ID, data.ID, Producer, write)
 	}
+}
 
-	task.Task.ReadOps += fl.ReadOps
-	task.Task.WriteOps += fl.WriteOps
-	task.Task.InVolume += fl.ReadBytes
-	task.Task.OutVolume += fl.WriteBytes
-	task.Task.ReadLatency += fl.ReadTime
-	task.Task.WriteLatency += fl.WriteTime
-
-	if fl.ReadOps > 0 {
-		// Consumer relation: data → task.
-		mustEdge(g, data.ID, task.ID, Consumer, FlowProps{
-			Ops:           fl.ReadOps,
-			Volume:        fl.ReadBytes,
-			Footprint:     fl.Footprint(blockstats.Read),
-			Latency:       fl.ReadTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		})
+// FlowEdges derives the properties of the consumer (data → task) and
+// producer (task → data) edges one task-file flow contributes. A direction
+// without operations has Ops == 0 and contributes no edge.
+func FlowEdges(f iotrace.SavedFlow) (read, write FlowProps) {
+	if f.ReadOps > 0 {
+		read = FlowProps{
+			Ops:           f.ReadOps,
+			Volume:        f.ReadBytes,
+			Footprint:     f.ReadFootprint,
+			Latency:       f.ReadTime,
+			MeanDistance:  f.MeanDistance,
+			ZeroDistFrac:  f.ZeroDistFrac,
+			SmallDistFrac: f.SmallDistFrac,
+		}
 	}
-	if fl.WriteOps > 0 {
-		// Producer relation: task → data.
-		mustEdge(g, task.ID, data.ID, Producer, FlowProps{
-			Ops:           fl.WriteOps,
-			Volume:        fl.WriteBytes,
-			Footprint:     fl.Footprint(blockstats.Write),
-			Latency:       fl.WriteTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		})
+	if f.WriteOps > 0 {
+		write = FlowProps{
+			Ops:           f.WriteOps,
+			Volume:        f.WriteBytes,
+			Footprint:     f.WriteFootprint,
+			Latency:       f.WriteTime,
+			MeanDistance:  f.MeanDistance,
+			ZeroDistFrac:  f.ZeroDistFrac,
+			SmallDistFrac: f.SmallDistFrac,
+		}
+	}
+	return read, write
+}
+
+// AddFlow accumulates one of the task's flows into its I/O totals. Float
+// sums depend on order, so callers fold a task's flows sorted by file.
+func (p *TaskProps) AddFlow(f iotrace.SavedFlow) {
+	p.ReadOps += f.ReadOps
+	p.WriteOps += f.WriteOps
+	p.InVolume += f.ReadBytes
+	p.OutVolume += f.WriteBytes
+	p.ReadLatency += f.ReadTime
+	p.WriteLatency += f.WriteTime
+}
+
+// AddFlow folds one flow touching the file into its size and lifetime, the
+// maxima over all such flows.
+func (p *DataProps) AddFlow(f iotrace.SavedFlow) {
+	if f.FileSize > p.Size {
+		p.Size = f.FileSize
+	}
+	if f.FileLifetime > p.Lifetime {
+		p.Lifetime = f.FileLifetime
 	}
 }
 
@@ -75,134 +104,4 @@ func mustEdge(g *Graph, src, dst ID, kind EdgeKind, p FlowProps) {
 	if _, err := g.AddEdge(src, dst, kind, p); err != nil {
 		panic(err) // unreachable: directions are fixed above
 	}
-}
-
-// BuildSaved reconstructs a DFL-DAG from a persisted measurement database
-// (iotrace.SaveJSON/LoadJSON) — the analyze-later path the paper's artifact
-// uses with its stored I/O state.
-func BuildSaved(st *iotrace.SavedState) *Graph {
-	g := New()
-	for i := range st.Tasks {
-		ti := &st.Tasks[i]
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.End - ti.Start
-	}
-	for _, sf := range st.Flows {
-		task := g.AddTask(sf.Task)
-		data := g.AddData(sf.File)
-		if sf.FileSize > data.Data.Size {
-			data.Data.Size = sf.FileSize
-		}
-		if sf.FileLifetime > data.Data.Lifetime {
-			data.Data.Lifetime = sf.FileLifetime
-		}
-		task.Task.ReadOps += sf.ReadOps
-		task.Task.WriteOps += sf.WriteOps
-		task.Task.InVolume += sf.ReadBytes
-		task.Task.OutVolume += sf.WriteBytes
-		task.Task.ReadLatency += sf.ReadTime
-		task.Task.WriteLatency += sf.WriteTime
-		if sf.ReadOps > 0 {
-			mustEdge(g, data.ID, task.ID, Consumer, FlowProps{
-				Ops: sf.ReadOps, Volume: sf.ReadBytes, Footprint: sf.ReadFootprint,
-				Latency: sf.ReadTime, MeanDistance: sf.MeanDistance,
-				ZeroDistFrac: sf.ZeroDistFrac, SmallDistFrac: sf.SmallDistFrac,
-			})
-		}
-		if sf.WriteOps > 0 {
-			mustEdge(g, task.ID, data.ID, Producer, FlowProps{
-				Ops: sf.WriteOps, Volume: sf.WriteBytes, Footprint: sf.WriteFootprint,
-				Latency: sf.WriteTime, MeanDistance: sf.MeanDistance,
-				ZeroDistFrac: sf.ZeroDistFrac, SmallDistFrac: sf.SmallDistFrac,
-			})
-		}
-	}
-	return g
-}
-
-// BuildParallel constructs the DFL-DAG with worker goroutines, serializing
-// only the vertex/edge insertions (§4.1: "DFL-G construction can be
-// parallelized by ensuring vertex updates are atomic"). Flow statistics —
-// footprints, distances, ratios — are derived concurrently; results are
-// identical to Build.
-func BuildParallel(col *iotrace.Collector) *Graph {
-	g := New()
-	var mu sync.Mutex
-	for _, ti := range col.Tasks() {
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.Lifetime()
-	}
-	flows := col.Flows()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(flows) {
-		workers = len(flows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *blockstats.FlowStat)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fl := range ch {
-				// Derive statistics outside the lock; mutate under it.
-				type edgeSpec struct {
-					kind EdgeKind
-					p    FlowProps
-				}
-				var specs []edgeSpec
-				if fl.ReadOps > 0 {
-					specs = append(specs, edgeSpec{Consumer, FlowProps{
-						Ops: fl.ReadOps, Volume: fl.ReadBytes,
-						Footprint: fl.Footprint(blockstats.Read),
-						Latency:   fl.ReadTime, MeanDistance: fl.MeanDistance(),
-						ZeroDistFrac:  fl.ZeroDistanceFraction(),
-						SmallDistFrac: fl.SmallDistanceFraction(),
-					}})
-				}
-				if fl.WriteOps > 0 {
-					specs = append(specs, edgeSpec{Producer, FlowProps{
-						Ops: fl.WriteOps, Volume: fl.WriteBytes,
-						Footprint: fl.Footprint(blockstats.Write),
-						Latency:   fl.WriteTime, MeanDistance: fl.MeanDistance(),
-						ZeroDistFrac:  fl.ZeroDistanceFraction(),
-						SmallDistFrac: fl.SmallDistanceFraction(),
-					}})
-				}
-				size, lifetime := fl.FileSize(), fl.FileLifetime()
-
-				mu.Lock()
-				task := g.AddTask(fl.Task)
-				data := g.AddData(fl.File)
-				if size > data.Data.Size {
-					data.Data.Size = size
-				}
-				if lifetime > data.Data.Lifetime {
-					data.Data.Lifetime = lifetime
-				}
-				task.Task.ReadOps += fl.ReadOps
-				task.Task.WriteOps += fl.WriteOps
-				task.Task.InVolume += fl.ReadBytes
-				task.Task.OutVolume += fl.WriteBytes
-				task.Task.ReadLatency += fl.ReadTime
-				task.Task.WriteLatency += fl.WriteTime
-				for _, s := range specs {
-					if s.kind == Consumer {
-						mustEdge(g, data.ID, task.ID, Consumer, s.p)
-					} else {
-						mustEdge(g, task.ID, data.ID, Producer, s.p)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, fl := range flows {
-		ch <- fl
-	}
-	close(ch)
-	wg.Wait()
-	return g
 }

@@ -524,39 +524,6 @@ func TestBuildSavedMatchesBuild(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesBuild(t *testing.T) {
-	col := iotrace.MustCollector(blockstats.DefaultConfig())
-	for i := 0; i < 200; i++ {
-		task := "t" + string(rune('0'+i%10))
-		file := "f" + string(rune('0'+i%7))
-		kind := blockstats.Read
-		if i%7 > i%10 {
-			kind = blockstats.Write
-		}
-		col.RecordAccess(task, file, 10000, kind, int64(i*13)%10000, 64, float64(i), 0.01)
-		col.TaskStarted(task, 0)
-		col.TaskEnded(task, float64(i))
-	}
-	a := Build(col)
-	b := BuildParallel(col)
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		t.Fatalf("structure differs: %dV/%dE vs %dV/%dE",
-			a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
-	}
-	for _, e := range a.Edges() {
-		be := b.FindEdge(e.Src, e.Dst)
-		if be == nil || be.Props != e.Props {
-			t.Fatalf("edge %v->%v differs: %+v vs %+v", e.Src, e.Dst, be, e)
-		}
-	}
-	for _, v := range a.Vertices() {
-		bv := b.Vertex(v.ID)
-		if bv == nil || bv.Task != v.Task || bv.Data != v.Data {
-			t.Fatalf("vertex %v differs", v.ID)
-		}
-	}
-}
-
 func TestEdgeDistributions(t *testing.T) {
 	mk := func(vol uint64) *Graph {
 		g := New()

@@ -538,7 +538,7 @@ func (ix *Index) consumersFor(p int32) []ID {
 // vertex, edge, and property. It is a commutative multiset hash, so two
 // graphs with identical content hash equal regardless of construction order,
 // and incremental snapshots derive it in O(delta) from the previous sums. It
-// keys analysis memoization (advisor.Memo), so fault-sweep seeds that produce
+// keys analysis memoization (Memo), so fault-sweep seeds that produce
 // identical DFLs skip re-analysis.
 func (ix *Index) Fingerprint() uint64 {
 	if ix.fpReady.Load() {

@@ -34,7 +34,7 @@ type FaultAdviceRow struct {
 
 // FaultSweepAnalyze runs the sweep demos under the schedule once per seed
 // with a collector attached, builds each run's measured DFL graph, and plans
-// placement through one shared advisor.Memo. Collection observes the same
+// placement through one shared advisor memo. Collection observes the same
 // deterministic run FaultSweep times — it never perturbs event sequencing —
 // and the memo means seeds that produce byte-identical lifecycles pay for
 // analysis once: the sweep's re-planning cost scales with the number of
@@ -43,7 +43,7 @@ func FaultSweepAnalyze(s Scale, sched *faults.Schedule, seeds []uint64) ([]Fault
 	if len(seeds) == 0 {
 		seeds = []uint64{sched.Seed}
 	}
-	var memo advisor.Memo
+	memo := advisor.NewMemo()
 	var rows []FaultAdviceRow
 	for _, demo := range FaultDemos() {
 		for _, seed := range seeds {
@@ -63,16 +63,14 @@ func FaultSweepAnalyze(s Scale, sched *faults.Schedule, seeds []uint64) ([]Fault
 				continue
 			}
 			g := dfl.Build(col)
-			hitsBefore, _ := memo.Stats()
-			plan, err := memo.Advise(g, advisor.Config{Nodes: len(c.Nodes)})
+			plan, hit, err := memo.Plan(g, advisor.Config{Nodes: len(c.Nodes)})
 			if err != nil {
 				row.Err = err.Error()
 				rows = append(rows, row)
 				continue
 			}
-			hitsAfter, _ := memo.Stats()
 			row.Fingerprint = g.Fingerprint()
-			row.CacheHit = hitsAfter > hitsBefore
+			row.CacheHit = hit
 			row.Threads = len(plan.Threads)
 			row.Placements = len(plan.Placements)
 			row.Locality = plan.LocalityScore(g)

@@ -227,7 +227,7 @@ func FaultSweepResumable(s Scale, sched *faults.Schedule, seeds []uint64, opts S
 		demos = CheckpointDemos()
 		modes = []string{ModeRecovery, ModeCheckpoint}
 	}
-	var memo checkpoint.Memo
+	memo := checkpoint.NewMemo()
 	var rows []FaultSweepRow
 	for _, demo := range demos {
 		allDone := done != nil
@@ -272,7 +272,7 @@ func FaultSweepResumable(s Scale, sched *faults.Schedule, seeds []uint64, opts S
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fault sweep checkpoint tier: %w", err)
 			}
-			plan, err := memo.Choose(dfl.Build(col), checkpoint.Config{
+			plan, _, err := memo.Plan(dfl.Build(col), checkpoint.Config{
 				Tier:    opts.Checkpoint,
 				WriteBW: tier.WriteBW,
 				// The schedule pins concrete crashes; plan for certain loss.

@@ -48,6 +48,10 @@ type persistTask struct {
 	Name  string  `json:"name"`
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
+	// Incomplete marks a task that had not both started and ended, whose
+	// lifetime is therefore zero (TaskInfo.Lifetime). It is omitted when
+	// false, so a completed task's record is just name, start and end.
+	Incomplete bool `json:"incomplete,omitempty"`
 }
 
 type persistDoc struct {
@@ -67,29 +71,53 @@ func (c *Collector) SaveJSON(w io.Writer) error {
 func (c *Collector) persistDoc() persistDoc {
 	doc := persistDoc{Config: c.Config()}
 	for _, ti := range c.Tasks() {
-		doc.Tasks = append(doc.Tasks, persistTask{Name: ti.Name, Start: ti.Start, End: ti.End})
+		doc.Tasks = append(doc.Tasks, persistTask{Name: ti.Name, Start: ti.Start, End: ti.End,
+			Incomplete: !ti.started || !ti.ended})
 	}
 	for _, fl := range c.Flows() {
-		doc.Flows = append(doc.Flows, persistFlow{
-			Task: fl.Task, File: fl.File,
-			FileSize: fl.FileSize(), BlockSize: fl.BlockSize(),
-			ReadOps: fl.ReadOps, WriteOps: fl.WriteOps,
-			ReadBytes: fl.ReadBytes, WriteBytes: fl.WriteBytes,
-			ReadTime: fl.ReadTime, WriteTime: fl.WriteTime,
-			OpenTime: fl.OpenTime, CloseTime: fl.CloseTime,
-			Opens: fl.Opens, Closes: fl.Closes,
-			DistSum: fl.DistSum, DistN: fl.DistN,
-			ZeroDist: fl.ZeroDist, SmallDist: fl.SmallDist,
-			ReadFootprint:  fl.Footprint(blockstats.Read),
-			WriteFootprint: fl.Footprint(blockstats.Write),
-			TotalFootprint: fl.TotalFootprint(),
-		})
+		pf := flowRecord(fl)
+		pf.ReadFootprint = fl.Footprint(blockstats.Read)
+		pf.WriteFootprint = fl.Footprint(blockstats.Write)
+		pf.TotalFootprint = fl.TotalFootprint()
+		doc.Flows = append(doc.Flows, pf)
 	}
 	return doc
 }
 
-// SavedFlow is a loaded task-file record with the derived metrics the graph
-// builder needs.
+// flowRecord copies a histogram's aggregates into the serialized form. The
+// footprints, which walk the block map, are left to the caller.
+func flowRecord(fl *blockstats.FlowStat) persistFlow {
+	return persistFlow{
+		Task: fl.Task, File: fl.File,
+		FileSize: fl.FileSize(), BlockSize: fl.BlockSize(),
+		ReadOps: fl.ReadOps, WriteOps: fl.WriteOps,
+		ReadBytes: fl.ReadBytes, WriteBytes: fl.WriteBytes,
+		ReadTime: fl.ReadTime, WriteTime: fl.WriteTime,
+		OpenTime: fl.OpenTime, CloseTime: fl.CloseTime,
+		Opens: fl.Opens, Closes: fl.Closes,
+		DistSum: fl.DistSum, DistN: fl.DistN,
+		ZeroDist: fl.ZeroDist, SmallDist: fl.SmallDist,
+	}
+}
+
+// Summarize reduces a live histogram to the record LoadJSON yields for it
+// after SaveJSON, so graph construction folds live and saved measurements
+// through one path. A footprint is computed only for a direction that has
+// operations: no edge carries the other.
+func Summarize(fl *blockstats.FlowStat) SavedFlow {
+	pf := flowRecord(fl)
+	if fl.ReadOps > 0 {
+		pf.ReadFootprint = fl.Footprint(blockstats.Read)
+	}
+	if fl.WriteOps > 0 {
+		pf.WriteFootprint = fl.Footprint(blockstats.Write)
+	}
+	return pf.summary()
+}
+
+// SavedFlow is one task-file record with the derived metrics the graph
+// builder needs, loaded from a saved state or summarized from a live
+// histogram (Summarize).
 type SavedFlow struct {
 	Task, File            string
 	FileSize              int64
@@ -128,25 +156,31 @@ func docToState(doc persistDoc) *SavedState {
 	st := &SavedState{Config: doc.Config}
 	for _, pt := range doc.Tasks {
 		st.Tasks = append(st.Tasks, TaskInfo{Name: pt.Name, Start: pt.Start, End: pt.End,
-			started: true, ended: true})
+			started: true, ended: !pt.Incomplete})
 	}
-	for _, pf := range doc.Flows {
-		sf := SavedFlow{
-			Task: pf.Task, File: pf.File, FileSize: pf.FileSize,
-			ReadOps: pf.ReadOps, WriteOps: pf.WriteOps,
-			ReadBytes: pf.ReadBytes, WriteBytes: pf.WriteBytes,
-			ReadTime: pf.ReadTime, WriteTime: pf.WriteTime,
-			ReadFootprint: pf.ReadFootprint, WriteFootprint: pf.WriteFootprint,
-		}
-		if lt := pf.CloseTime - pf.OpenTime; pf.Opens > 0 && lt > 0 {
-			sf.FileLifetime = lt
-		}
-		if pf.DistN > 0 {
-			sf.MeanDistance = pf.DistSum / float64(pf.DistN)
-			sf.ZeroDistFrac = float64(pf.ZeroDist) / float64(pf.DistN)
-			sf.SmallDistFrac = float64(pf.SmallDist) / float64(pf.DistN)
-		}
-		st.Flows = append(st.Flows, sf)
+	for i := range doc.Flows {
+		st.Flows = append(st.Flows, doc.Flows[i].summary())
 	}
 	return st
+}
+
+// summary derives the graph builder's per-flow metrics from the aggregates,
+// with the same arithmetic as the FlowStat accessors.
+func (pf *persistFlow) summary() SavedFlow {
+	sf := SavedFlow{
+		Task: pf.Task, File: pf.File, FileSize: pf.FileSize,
+		ReadOps: pf.ReadOps, WriteOps: pf.WriteOps,
+		ReadBytes: pf.ReadBytes, WriteBytes: pf.WriteBytes,
+		ReadTime: pf.ReadTime, WriteTime: pf.WriteTime,
+		ReadFootprint: pf.ReadFootprint, WriteFootprint: pf.WriteFootprint,
+	}
+	if lt := pf.CloseTime - pf.OpenTime; pf.Opens > 0 && lt > 0 {
+		sf.FileLifetime = lt
+	}
+	if pf.DistN > 0 {
+		sf.MeanDistance = pf.DistSum / float64(pf.DistN)
+		sf.ZeroDistFrac = float64(pf.ZeroDist) / float64(pf.DistN)
+		sf.SmallDistFrac = float64(pf.SmallDist) / float64(pf.DistN)
+	}
+	return sf
 }

@@ -16,10 +16,79 @@ import (
 	"io"
 )
 
-// MaxRecord bounds a single record's payload. A length prefix above this is
-// treated as tail corruption rather than an allocation request: a torn or
-// overwritten length byte must not make the scanner try to read gigabytes.
+// MaxRecord bounds a single record's payload; the Scanner treats a longer
+// length prefix as tail corruption.
 const MaxRecord = 64 << 20
+
+// Frame errors. ReadFrame wraps one of them, so callers match with errors.Is.
+var (
+	// ErrTornFrame reports a frame cut short by the end of the stream: the
+	// tail a process killed mid-append leaves behind.
+	ErrTornFrame = errors.New("journal: torn frame")
+	// ErrCorruptFrame reports a frame whose length prefix is malformed or
+	// above the reader's bound, or whose payload fails its CRC.
+	ErrCorruptFrame = errors.New("journal: corrupt frame")
+)
+
+// AppendFrame appends the frame of payload (uvarint length, CRC-32, payload)
+// to dst and returns the extended slice.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// ReadFrame reads one frame whose payload is at most limit bytes and returns
+// the payload in a freshly allocated slice. It returns io.EOF only at a clean
+// frame boundary; a frame cut short wraps ErrTornFrame, a bad length or CRC
+// wraps ErrCorruptFrame, and any other read error is returned wrapped.
+func ReadFrame(r *bufio.Reader, limit int) ([]byte, error) {
+	payload, _, err := readFrame(r, limit)
+	return payload, err
+}
+
+// readFrame is ReadFrame that also returns the frame's length in bytes.
+func readFrame(r *bufio.Reader, limit int) (payload []byte, size int64, err error) {
+	// Read the length varint byte by byte: EOF before the first byte is a
+	// clean end; EOF after it is a torn frame.
+	var n uint64
+	for shift := uint(0); ; shift += 7 {
+		b, err := r.ReadByte()
+		switch {
+		case err == io.EOF && size == 0:
+			return nil, 0, io.EOF
+		case err == io.EOF:
+			return nil, 0, fmt.Errorf("%w: end of stream inside the length", ErrTornFrame)
+		case err != nil:
+			return nil, 0, fmt.Errorf("journal: reading frame: %w", err)
+		}
+		size++
+		if size == binary.MaxVarintLen64 && b > 1 {
+			return nil, 0, fmt.Errorf("%w: length overflows 64 bits", ErrCorruptFrame)
+		}
+		n |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+	}
+	// A length above the bound is corruption, not an allocation request: a
+	// torn or overwritten length must not make the reader allocate gigabytes.
+	if n > uint64(limit) {
+		return nil, 0, fmt.Errorf("%w: %d-byte payload exceeds limit %d", ErrCorruptFrame, n, limit)
+	}
+	frame := make([]byte, 4+n)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, 0, fmt.Errorf("%w: end of stream inside the payload", ErrTornFrame)
+		}
+		return nil, 0, fmt.Errorf("journal: reading frame: %w", err)
+	}
+	payload = frame[4:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame) {
+		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptFrame)
+	}
+	return payload, size + int64(len(frame)), nil
+}
 
 // Writer appends framed records to an underlying stream.
 type Writer struct {
@@ -33,15 +102,12 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Append frames payload and writes it in a single Write call, so the
 // underlying file sees either the whole frame or a prefix of it — never an
-// interleaving with another record.
+// interleaving with another record. The frame buffer is reused across calls.
 func (jw *Writer) Append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(payload), MaxRecord)
 	}
-	jw.buf = jw.buf[:0]
-	jw.buf = binary.AppendUvarint(jw.buf, uint64(len(payload)))
-	jw.buf = binary.LittleEndian.AppendUint32(jw.buf, crc32.ChecksumIEEE(payload))
-	jw.buf = append(jw.buf, payload...)
+	jw.buf = AppendFrame(jw.buf[:0], payload)
 	if _, err := jw.w.Write(jw.buf); err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
@@ -55,7 +121,6 @@ type Scanner struct {
 	r         *bufio.Reader
 	rec       []byte
 	off       int64 // bytes consumed by fully valid records
-	pending   int64 // bytes consumed by the record currently being parsed
 	truncated bool
 	err       error
 	done      bool
@@ -72,63 +137,21 @@ func (s *Scanner) Scan() bool {
 	if s.done {
 		return false
 	}
-	s.pending = 0
-
-	// Read the length varint byte-by-byte: EOF before the first byte is a
-	// clean end of log; EOF mid-varint is a torn frame.
-	var n uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := s.r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				s.truncated = shift > 0
-			} else {
-				s.err = err
-			}
-			s.done = true
-			return false
-		}
-		s.pending++
-		if shift > 63 {
-			s.stopCorrupt()
-			return false
-		}
-		n |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if n > MaxRecord {
-		s.stopCorrupt()
-		return false
-	}
-
-	frame := make([]byte, 4+n)
-	read, err := io.ReadFull(s.r, frame)
-	s.pending += int64(read)
+	rec, size, err := readFrame(s.r, MaxRecord)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		s.done = true
+		switch {
+		case err == io.EOF:
+		case errors.Is(err, ErrTornFrame), errors.Is(err, ErrCorruptFrame):
 			s.truncated = true
-		} else {
+		default:
 			s.err = err
 		}
-		s.done = true
 		return false
 	}
-	payload := frame[4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[:4]) {
-		s.stopCorrupt()
-		return false
-	}
-	s.rec = payload
-	s.off += s.pending
-	s.pending = 0
+	s.rec = rec
+	s.off += size
 	return true
-}
-
-func (s *Scanner) stopCorrupt() {
-	s.truncated = true
-	s.done = true
 }
 
 // Bytes returns the current record's payload. The slice is owned by the

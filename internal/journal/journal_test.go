@@ -1,8 +1,11 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -123,5 +126,36 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	jw := NewWriter(&bytes.Buffer{})
 	if err := jw.Append(make([]byte, MaxRecord+1)); err == nil {
 		t.Fatal("oversized append must fail")
+	}
+}
+
+// TestReadFrameErrors pins ReadFrame's error contract: io.EOF only at a clean
+// boundary, ErrTornFrame for a frame cut short, ErrCorruptFrame for a bad CRC
+// or a length above the reader's bound.
+func TestReadFrameErrors(t *testing.T) {
+	good := AppendFrame(nil, []byte("payload"))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	cases := []struct {
+		name  string
+		data  []byte
+		limit int
+		want  error
+	}{
+		{"clean end", nil, MaxRecord, io.EOF},
+		{"torn payload", good[:len(good)-1], MaxRecord, ErrTornFrame},
+		{"torn varint", []byte{0x80}, MaxRecord, ErrTornFrame},
+		{"bad crc", flipped, MaxRecord, ErrCorruptFrame},
+		{"oversized", good, 3, ErrCorruptFrame},
+	}
+	for _, tc := range cases {
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.data)), tc.limit)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	p, err := ReadFrame(bufio.NewReader(bytes.NewReader(good)), MaxRecord)
+	if err != nil || string(p) != "payload" {
+		t.Fatalf("good frame: %q, %v", p, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"datalife/internal/iotrace"
+	"datalife/internal/journal"
 )
 
 // ClientConfig shapes the client's retry envelope.
@@ -24,11 +25,10 @@ type ClientConfig struct {
 	// reproductions see identical timing decisions. Defaults 50ms / 2s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// DialTimeout bounds each dial. Default 5s.
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted reply frames. Default DefaultMaxFrame.
-	MaxFrame int
 }
+
+// dialTimeout bounds each dial.
+const dialTimeout = 5 * time.Second
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxAttempts <= 0 {
@@ -39,12 +39,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 2 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	return c
 }
@@ -61,6 +55,7 @@ type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
 	br   *bufio.Reader
+	w    *journal.Writer // frames writes to conn
 
 	// nextSeq is the sequence number of the next event to send; durable is
 	// the server-acknowledged journal frontier.
@@ -93,20 +88,20 @@ func (c *Client) connect() error {
 		if attempt > 0 {
 			backoffSleep(c.cfg, attempt-1)
 		}
-		conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		br := bufio.NewReader(conn)
-		if err := writeFrame(conn, encodeHello(helloMsg{
+		br, w := bufio.NewReader(conn), journal.NewWriter(conn)
+		if err := w.Append(encodeHello(helloMsg{
 			Version: ProtoVersion, Session: c.cfg.Session,
 		})); err != nil {
 			conn.Close()
 			lastErr = err
 			continue
 		}
-		payload, err := readFrame(br, c.cfg.MaxFrame)
+		payload, err := journal.ReadFrame(br, maxFrame)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -120,7 +115,7 @@ func (c *Client) connect() error {
 		}
 		switch m := msg.(type) {
 		case welcomeMsg:
-			c.conn, c.br = conn, br
+			c.conn, c.br, c.w = conn, br, w
 			c.durable = m.NextSeq
 			c.nextSeq = m.NextSeq
 			c.Resumed = m.Resumed
@@ -175,7 +170,7 @@ func (c *Client) Send(events []iotrace.TraceEvent) error {
 			return nil
 		}
 		batch := eventsMsg{FirstSeq: c.nextSeq, Events: events[c.nextSeq-first:]}
-		if err := writeFrame(c.conn, encodeEvents(batch)); err != nil {
+		if err := c.w.Append(encodeEvents(batch)); err != nil {
 			c.dropConn()
 			lastErr = err
 			continue
@@ -227,7 +222,7 @@ func (c *Client) Query(kind string, top int, minSeq uint64) (Result, error) {
 				return Result{}, err
 			}
 		}
-		if err := writeFrame(c.conn, encodeQuery(queryMsg{
+		if err := c.w.Append(encodeQuery(queryMsg{
 			Kind: kind, Top: uint64(top), MinSeq: minSeq,
 		})); err != nil {
 			c.dropConn()
@@ -276,21 +271,21 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	_ = writeFrame(c.conn, encodeBye())
+	_ = c.w.Append(encodeBye())
 	err := c.conn.Close()
-	c.conn, c.br = nil, nil
+	c.conn, c.br, c.w = nil, nil, nil
 	return err
 }
 
 func (c *Client) dropConn() {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn, c.br = nil, nil
+		c.conn, c.br, c.w = nil, nil, nil
 	}
 }
 
 func (c *Client) readReply() (any, error) {
-	payload, err := readFrame(c.br, c.cfg.MaxFrame)
+	payload, err := journal.ReadFrame(c.br, maxFrame)
 	if err != nil {
 		if err == io.EOF {
 			return nil, fmt.Errorf("serve: connection closed awaiting reply")

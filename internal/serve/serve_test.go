@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"datalife/internal/dfl"
 	"datalife/internal/iotrace"
+	"datalife/internal/journal"
 )
 
 // startServer launches a server on a loopback listener and returns it with
@@ -188,6 +190,50 @@ func TestAdmissionRejection(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectRetryability pins the retry flag admission rejects carry
+// on the wire: a full table clears once a session is evicted, so its reject
+// is retryable; a malformed name or a duplicate attach never succeeds on
+// retry, so theirs are not.
+func TestAdmissionRejectRetryability(t *testing.T) {
+	_, addr := startServer(t, Config{Dir: t.TempDir(), MaxSessions: 1})
+	held, err := Dial(testClientConfig(addr, "held"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer held.Close()
+
+	for _, tc := range []struct {
+		name, session string
+		retryable     bool
+	}{
+		{"table full", "other", true},
+		{"malformed name", "no/slashes", false},
+		{"duplicate attach", "held", false},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", tc.name, err)
+		}
+		err = journal.NewWriter(conn).Append(encodeHello(helloMsg{Version: ProtoVersion, Session: tc.session}))
+		var payload []byte
+		if err == nil {
+			payload, err = journal.ReadFrame(bufio.NewReader(conn), maxFrame)
+		}
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: handshake: %v", tc.name, err)
+		}
+		msg, err := decodeMessage(payload)
+		rej, ok := msg.(rejectMsg)
+		if err != nil || !ok {
+			t.Fatalf("%s: reply %T (%v), want rejectMsg", tc.name, msg, err)
+		}
+		if rej.Kind != KindRejected || rej.Retryable != tc.retryable {
+			t.Errorf("%s: reject %+v, want kind rejected with Retryable=%v", tc.name, rej, tc.retryable)
+		}
+	}
+}
+
 // TestSlowClientDeadlineEviction pins the eviction path: a client that goes
 // silent past the idle deadline loses its connection and table slot, while a
 // concurrent healthy session streams unharmed; the evicted session's state
@@ -260,6 +306,9 @@ func TestOverloadSheddingRejectsTyped(t *testing.T) {
 	if sess == nil {
 		t.Fatal("session missing")
 	}
+	// The warmup ack precedes its apply; let the applier release that batch's
+	// slot first, or the fill batch below would shed too.
+	waitFor(t, time.Second, func() bool { return len(sess.slots) == 0 })
 	sess.mu.Lock()
 	stalled := true
 	defer func() {
@@ -271,13 +320,13 @@ func TestOverloadSheddingRejectsTyped(t *testing.T) {
 	// One batch occupies the queue slot; the next must shed with a typed
 	// overload. Raw frames (not Client.Send) so retries don't mask the reject.
 	first := c.NextSeq()
-	if err := writeFrame(c.conn, encodeEvents(eventsMsg{FirstSeq: first, Events: events[4:6]})); err != nil {
+	if err := c.w.Append(encodeEvents(eventsMsg{FirstSeq: first, Events: events[4:6]})); err != nil {
 		t.Fatalf("fill queue: %v", err)
 	}
 	if _, err := c.readReply(); err != nil {
 		t.Fatalf("fill ack: %v", err)
 	}
-	if err := writeFrame(c.conn, encodeEvents(eventsMsg{FirstSeq: first + 2, Events: events[6:8]})); err != nil {
+	if err := c.w.Append(encodeEvents(eventsMsg{FirstSeq: first + 2, Events: events[6:8]})); err != nil {
 		t.Fatalf("overflow send: %v", err)
 	}
 	reply, err := c.readReply()

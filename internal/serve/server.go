@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"datalife/internal/blockstats"
+	"datalife/internal/journal"
 )
 
 // Config shapes a Server's robustness envelope.
@@ -30,8 +31,6 @@ type Config struct {
 	// session's journaled state persists and a reconnect resumes it.
 	// Default 30s.
 	IdleDeadline time.Duration
-	// MaxFrame bounds accepted wire frames. Default DefaultMaxFrame.
-	MaxFrame int
 	// Trace (blockstats) configuration for per-session collectors.
 	Trace blockstats.Config
 	// NoSync skips the per-batch fsync — for benchmarks that measure the
@@ -51,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleDeadline <= 0 {
 		c.IdleDeadline = 30 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	if c.Trace == (blockstats.Config{}) {
 		c.Trace = blockstats.DefaultConfig()
@@ -154,6 +150,9 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// errTableFull is the admission cause of a session rejected by a full table.
+var errTableFull = errors.New("session table full")
+
 // attach admits a session under the bounded table: reusing a detached live
 // session, recovering a journaled one from disk, or creating a fresh one.
 // Typed *SessionError (KindRejected) on malformed names, duplicate live
@@ -179,7 +178,7 @@ func (s *Server) attach(name string) (*session, error) {
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		return nil, &SessionError{Session: name, Kind: KindRejected,
-			Cause: fmt.Errorf("session table full (%d)", s.cfg.MaxSessions)}
+			Cause: fmt.Errorf("%w (%d)", errTableFull, s.cfg.MaxSessions)}
 	}
 	sess, err := newSession(name, sessionPath(s.cfg.Dir, name), s.cfg.Trace, s.cfg.QueueDepth)
 	if err != nil {
@@ -217,64 +216,46 @@ func (s *Server) evict(sess *session) {
 	sess.stop()
 }
 
-// SessionNames reports the attached-or-live session names, for observability.
-func (s *Server) SessionNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.sessions))
-	for n := range s.sessions {
-		names = append(names, n)
-	}
-	return names
-}
-
 // handle runs one connection: hello/welcome handshake, then an ingest+query
 // loop with idle deadlines. Protocol errors answer with a typed reject frame
 // when possible, then drop the connection.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	jw := journal.NewWriter(conn)
 
 	// Handshake under the idle deadline too: a silent dialer must not pin a
 	// handler goroutine forever.
 	setDeadline(conn, s.cfg.IdleDeadline)
-	payload, err := readFrame(br, s.cfg.MaxFrame)
+	payload, err := journal.ReadFrame(br, maxFrame)
 	if err != nil {
 		return
 	}
 	msg, err := decodeMessage(payload)
 	if err != nil {
-		writeReject(conn, rejectMsg{Kind: KindTornStream, Detail: err.Error()})
+		writeReject(jw, rejectMsg{Kind: KindTornStream, Detail: err.Error()})
 		return
 	}
 	hello, ok := msg.(helloMsg)
 	if !ok {
-		writeReject(conn, rejectMsg{Kind: KindTornStream, Detail: "expected hello"})
+		writeReject(jw, rejectMsg{Kind: KindTornStream, Detail: "expected hello"})
 		return
 	}
 	if hello.Version != ProtoVersion {
-		writeReject(conn, rejectMsg{Kind: KindRejected,
+		writeReject(jw, rejectMsg{Kind: KindRejected,
 			Detail: fmt.Sprintf("protocol version %d, want %d", hello.Version, ProtoVersion)})
 		return
 	}
 	sess, err := s.attach(hello.Session)
 	if err != nil {
-		var se *SessionError
-		retryable := false
-		if errors.As(err, &se) {
-			retryable = se.Kind.Retryable()
-		}
-		// Capacity rejections clear once another session detaches or is
-		// evicted, so the client may retry those.
-		if se != nil && se.Kind == KindRejected &&
-			se.Cause != nil && se.Cause.Error() == fmt.Sprintf("session table full (%d)", s.cfg.MaxSessions) {
-			retryable = true
-		}
-		writeReject(conn, rejectMsg{Kind: KindRejected, Retryable: retryable, Detail: err.Error()})
+		// Capacity rejections clear once another session is evicted, so the
+		// client may retry those; the other admission failures are final.
+		writeReject(jw, rejectMsg{Kind: KindRejected, Retryable: errors.Is(err, errTableFull),
+			Detail: err.Error()})
 		return
 	}
 	defer s.detach(sess)
-	if err := writeFrame(conn, encodeWelcome(welcomeMsg{
+	if err := jw.Append(encodeWelcome(welcomeMsg{
 		NextSeq: sess.nextSeq, Resumed: sess.resumed,
 	})); err != nil {
 		return
@@ -282,12 +263,12 @@ func (s *Server) handle(conn net.Conn) {
 
 	for {
 		setDeadline(conn, s.cfg.IdleDeadline)
-		payload, err := readFrame(br, s.cfg.MaxFrame)
+		payload, err := journal.ReadFrame(br, maxFrame)
 		if err != nil {
 			if isTimeout(err) {
 				// Slow-client eviction: free the table slot; journaled state
 				// persists and a reconnect resumes the session.
-				writeReject(conn, rejectMsg{Kind: KindDeadline, Retryable: true,
+				writeReject(jw, rejectMsg{Kind: KindDeadline, Retryable: true,
 					Seq: sess.nextSeq, Detail: "idle deadline exceeded"})
 				s.evict(sess)
 				return
@@ -299,14 +280,14 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		msg, err := decodeMessage(payload)
 		if err != nil {
-			writeReject(conn, rejectMsg{Kind: KindTornStream, Retryable: true,
+			writeReject(jw, rejectMsg{Kind: KindTornStream, Retryable: true,
 				Seq: sess.nextSeq, Detail: err.Error()})
 			s.evict(sess)
 			return
 		}
 		switch m := msg.(type) {
 		case eventsMsg:
-			ok, err := s.ingest(conn, sess, m)
+			ok, err := s.ingest(conn, jw, sess, m)
 			if err != nil || !ok {
 				return
 			}
@@ -317,13 +298,13 @@ func (s *Server) handle(conn net.Conn) {
 				m.MinSeq = sess.nextSeq
 			}
 			res := sess.answer(m)
-			if err := writeFrame(conn, encodeResult(res)); err != nil {
+			if err := jw.Append(encodeResult(res)); err != nil {
 				return
 			}
 		case byeMsg:
 			return
 		default:
-			writeReject(conn, rejectMsg{Kind: KindTornStream, Retryable: true,
+			writeReject(jw, rejectMsg{Kind: KindTornStream, Retryable: true,
 				Seq: sess.nextSeq, Detail: "unexpected message"})
 			s.evict(sess)
 			return
@@ -339,15 +320,15 @@ func (s *Server) handle(conn net.Conn) {
 // The order is the crash-consistency contract: nothing is acknowledged before
 // it is durable, and nothing is applied that was not journaled — so a client
 // resend after any failure is deduplicated by sequence number, never
-// double-applied. Returns ok=false when the connection must drop (the session
-// may have been evicted).
-func (s *Server) ingest(conn net.Conn, sess *session, m eventsMsg) (ok bool, err error) {
+// double-applied. Replies go out through jw, conn's frame writer. Returns
+// ok=false when the connection must drop (the session may have been evicted).
+func (s *Server) ingest(conn net.Conn, jw *journal.Writer, sess *session, m eventsMsg) (ok bool, err error) {
 	end := m.FirstSeq + uint64(len(m.Events))
 	switch {
 	case m.FirstSeq > sess.nextSeq:
 		// Gap: the client skipped ahead of the journal. Unrecoverable on this
 		// connection; reconnecting re-handshakes from the durable seq.
-		writeReject(conn, rejectMsg{Kind: KindTornStream, Retryable: true,
+		writeReject(jw, rejectMsg{Kind: KindTornStream, Retryable: true,
 			Seq: sess.nextSeq,
 			Detail: fmt.Sprintf("sequence gap: batch starts at %d, journal at %d",
 				m.FirstSeq, sess.nextSeq)})
@@ -355,7 +336,7 @@ func (s *Server) ingest(conn net.Conn, sess *session, m eventsMsg) (ok bool, err
 		return false, nil
 	case end <= sess.nextSeq:
 		// Pure duplicate (resend of an acknowledged batch): re-ack.
-		return true, writeFrame(conn, encodeAck(ackMsg{Durable: sess.nextSeq}))
+		return true, jw.Append(encodeAck(ackMsg{Durable: sess.nextSeq}))
 	case m.FirstSeq < sess.nextSeq:
 		// Overlap: journal and apply only the unseen suffix.
 		m.Events = m.Events[sess.nextSeq-m.FirstSeq:]
@@ -369,7 +350,7 @@ func (s *Server) ingest(conn net.Conn, sess *session, m eventsMsg) (ok bool, err
 		serr := &SessionError{Session: sess.name, Seq: sess.nextSeq, Kind: KindOverloaded,
 			Cause: fmt.Errorf("ingest queue full past %v", s.cfg.EnqueueWait)}
 		// Overload is transient: keep the connection, let the client back off.
-		return true, writeFrame(conn, encodeReject(rejectMsg{
+		return true, jw.Append(encodeReject(rejectMsg{
 			Kind: KindOverloaded, Retryable: true, Seq: sess.nextSeq, Detail: serr.Error()}))
 	}
 
@@ -398,11 +379,11 @@ func (s *Server) ingest(conn net.Conn, sess *session, m eventsMsg) (ok bool, err
 	}
 
 	sess.queue <- m // cannot block: slot reserved above
-	return true, writeFrame(conn, encodeAck(ackMsg{Durable: sess.nextSeq}))
+	return true, jw.Append(encodeAck(ackMsg{Durable: sess.nextSeq}))
 }
 
-func writeReject(conn net.Conn, rej rejectMsg) {
-	_ = writeFrame(conn, encodeReject(rej))
+func writeReject(jw *journal.Writer, rej rejectMsg) {
+	_ = jw.Append(encodeReject(rej))
 }
 
 // setDeadline applies the idle deadline to the connection. Wall-clock use is

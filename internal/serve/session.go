@@ -65,12 +65,10 @@ type session struct {
 	applierDone chan struct{}
 
 	// Dirty bookkeeping between syncs, plus the cumulative flow membership
-	// needed to recompute a task or file vertex from scratch.
+	// needed to recompute a task vertex from scratch.
 	dirtyTasks map[string]bool
-	dirtyFiles map[string]bool
 	dirtyFlows map[[2]string]bool
 	taskFiles  map[string]map[string]bool
-	fileTasks  map[string]map[string]bool
 
 	attached bool // under Server.mu
 }
@@ -90,10 +88,8 @@ func newSession(name, path string, cfg blockstats.Config, depth int) (*session, 
 		quit:        make(chan struct{}),
 		applierDone: make(chan struct{}),
 		dirtyTasks:  make(map[string]bool),
-		dirtyFiles:  make(map[string]bool),
 		dirtyFlows:  make(map[[2]string]bool),
 		taskFiles:   make(map[string]map[string]bool),
-		fileTasks:   make(map[string]map[string]bool),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -156,7 +152,6 @@ func (s *session) applyBatch(batch eventsMsg) {
 		}
 		s.dirtyTasks[ev.Task] = true
 		if ev.File != "" {
-			s.dirtyFiles[ev.File] = true
 			s.dirtyFlows[[2]string{ev.Task, ev.File}] = true
 			tf := s.taskFiles[ev.Task]
 			if tf == nil {
@@ -164,12 +159,6 @@ func (s *session) applyBatch(batch eventsMsg) {
 				s.taskFiles[ev.Task] = tf
 			}
 			tf[ev.File] = true
-			ft := s.fileTasks[ev.File]
-			if ft == nil {
-				ft = make(map[string]bool)
-				s.fileTasks[ev.File] = ft
-			}
-			ft[ev.Task] = true
 		}
 	}
 }
@@ -211,15 +200,13 @@ func (s *session) runApplier() {
 	}
 }
 
-// syncGraphLocked folds the dirty collector state into the live DFL graph.
-// Every dirty vertex is recomputed from scratch from its flows, so the final
-// graph is a pure function of collector content — independent of how many
-// intermediate syncs happened, which is what makes kill-and-resume output
-// byte-identical to an uninterrupted run. Dirty sets are walked in sorted
-// order so edge insertion order is deterministic too.
+// syncGraphLocked folds the dirty collector state into the live DFL graph
+// through dfl's fold, so the graph is a pure function of collector content —
+// independent of how many intermediate syncs happened, which is what makes
+// kill-and-resume output byte-identical to an uninterrupted run. Dirty sets
+// are walked in sorted order so edge insertion order is deterministic too.
 func (s *session) syncGraphLocked() {
-	if s.syncedSeq == s.appliedSeq &&
-		len(s.dirtyTasks) == 0 && len(s.dirtyFiles) == 0 && len(s.dirtyFlows) == 0 {
+	if s.syncedSeq == s.appliedSeq && len(s.dirtyTasks) == 0 && len(s.dirtyFlows) == 0 {
 		return
 	}
 	flows := make([][2]string, 0, len(s.dirtyFlows))
@@ -238,89 +225,49 @@ func (s *session) syncGraphLocked() {
 	for _, task := range sortedKeys(s.dirtyTasks) {
 		s.syncTask(task)
 	}
-	for _, file := range sortedKeys(s.dirtyFiles) {
-		s.syncFile(file)
-	}
 	clear(s.dirtyTasks)
-	clear(s.dirtyFiles)
 	clear(s.dirtyFlows)
 	s.syncedSeq = s.appliedSeq
 }
 
-// syncFlow refreshes the producer/consumer edges of one (task, file) flow,
-// mirroring dfl.Build's addFlow property derivation exactly.
+// syncFlow refreshes the producer/consumer edges of one (task, file) flow
+// and folds the flow into its file's vertex. A file's size and lifetime are
+// maxima over its flows, and neither quantity of a flow ever decreases, so
+// folding the changed flow into the vertex gives what recomputing the
+// maxima over every flow of the file would.
 func (s *session) syncFlow(task, file string) {
-	fl := s.col.Flow(task, file, 0)
+	f := iotrace.Summarize(s.col.Flow(task, file, 0))
 	tid, did := dfl.TaskID(task), dfl.DataID(file)
 	s.g.AddTask(task)
-	s.g.AddData(file)
-	if fl.ReadOps > 0 {
-		p := dfl.FlowProps{
-			Ops:           fl.ReadOps,
-			Volume:        fl.ReadBytes,
-			Footprint:     fl.Footprint(blockstats.Read),
-			Latency:       fl.ReadTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		}
-		if !s.g.SetEdgeProps(did, tid, p) {
-			// Direction is correct by construction; AddEdge cannot fail.
-			_, _ = s.g.AddEdge(did, tid, dfl.Consumer, p)
-		}
+	v := s.g.AddData(file)
+	p := v.Data
+	p.AddFlow(f)
+	if p != v.Data {
+		s.g.SetDataProps(file, p)
 	}
-	if fl.WriteOps > 0 {
-		p := dfl.FlowProps{
-			Ops:           fl.WriteOps,
-			Volume:        fl.WriteBytes,
-			Footprint:     fl.Footprint(blockstats.Write),
-			Latency:       fl.WriteTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		}
-		if !s.g.SetEdgeProps(tid, did, p) {
-			_, _ = s.g.AddEdge(tid, did, dfl.Producer, p)
-		}
+	read, write := dfl.FlowEdges(f)
+	if read.Ops > 0 && !s.g.SetEdgeProps(did, tid, read) {
+		// Direction is correct by construction; AddEdge cannot fail.
+		_, _ = s.g.AddEdge(did, tid, dfl.Consumer, read)
+	}
+	if write.Ops > 0 && !s.g.SetEdgeProps(tid, did, write) {
+		_, _ = s.g.AddEdge(tid, did, dfl.Producer, write)
 	}
 }
 
 // syncTask recomputes one task vertex's properties from scratch: lifetime
-// from the collector's task info plus per-flow aggregate sums, matching the
-// accumulation dfl.Build performs.
+// from the collector's task info plus its flows folded in file order, the
+// order dfl.Build folds them in (float sums depend on order).
 func (s *session) syncTask(task string) {
 	var p dfl.TaskProps
 	if ti := s.col.Task(task); ti != nil {
 		p.Lifetime = ti.Lifetime()
 	}
 	for _, file := range sortedKeys(s.taskFiles[task]) {
-		fl := s.col.Flow(task, file, 0)
-		p.ReadOps += fl.ReadOps
-		p.WriteOps += fl.WriteOps
-		p.InVolume += fl.ReadBytes
-		p.OutVolume += fl.WriteBytes
-		p.ReadLatency += fl.ReadTime
-		p.WriteLatency += fl.WriteTime
+		p.AddFlow(iotrace.Summarize(s.col.Flow(task, file, 0)))
 	}
 	s.g.AddTask(task)
 	s.g.SetTaskProps(task, p)
-}
-
-// syncFile recomputes one data vertex's properties: size and lifetime are
-// maxima over the flows touching the file, as in dfl.Build.
-func (s *session) syncFile(file string) {
-	var p dfl.DataProps
-	for _, task := range sortedKeys(s.fileTasks[file]) {
-		fl := s.col.Flow(task, file, 0)
-		if sz := fl.FileSize(); sz > p.Size {
-			p.Size = sz
-		}
-		if lt := fl.FileLifetime(); lt > p.Lifetime {
-			p.Lifetime = lt
-		}
-	}
-	s.g.AddData(file)
-	s.g.SetDataProps(file, p)
 }
 
 func sortedKeys(m map[string]bool) []string {

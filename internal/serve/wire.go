@@ -1,22 +1,20 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 
 	"datalife/internal/iotrace"
 )
 
-// Wire format: every message travels in a frame using the journal package's
-// record layout — uvarint payload length, 4-byte little-endian CRC-32 (IEEE)
-// of the payload, payload bytes. The journal silently truncates at the first
-// bad record (torn tails are expected on crash); the wire decoder instead
-// returns typed errors, because mid-stream corruption on a live connection is
-// a protocol violation, not an expected crash artifact.
+// Wire format: every message travels in a journal frame — uvarint payload
+// length, 4-byte little-endian CRC-32 (IEEE) of the payload, payload bytes —
+// written with journal.Writer and read with journal.ReadFrame. The journal
+// Scanner silently truncates at the first bad record (torn tails are expected
+// on crash); on the wire a torn or corrupt frame is an error that drops the
+// connection, because mid-stream corruption on a live connection is a
+// protocol violation, not an expected crash artifact.
 //
 // Inside a frame, payload[0] is the message type; integers are uvarints
 // (int64 fields zigzag-encoded), floats are 8-byte little-endian IEEE 754
@@ -25,10 +23,10 @@ import (
 const (
 	// ProtoVersion is the wire protocol version exchanged in the handshake.
 	ProtoVersion = 1
-	// DefaultMaxFrame bounds a single frame's payload. Large enough for any
-	// sane event batch, small enough that a hostile length prefix cannot
-	// make the decoder allocate without bound.
-	DefaultMaxFrame = 8 << 20
+	// maxFrame bounds a single frame's payload. Large enough for any sane
+	// event batch, small enough that a hostile length prefix cannot make the
+	// decoder allocate without bound.
+	maxFrame = 8 << 20
 	// maxName bounds session, task, and file name lengths on the wire.
 	maxName = 4096
 	// maxRep bounds the repeat count of a chunk-batch event.
@@ -102,49 +100,6 @@ type resultMsg struct {
 	Stale bool
 	Err   string
 	Body  string
-}
-
-// frame I/O ----------------------------------------------------------------
-
-var crcTable = crc32.IEEETable
-
-// writeFrame writes one frame (length, CRC, payload) in a single Write.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, crcTable))
-	buf := make([]byte, 0, n+4+len(payload))
-	buf = append(buf, hdr[:n+4]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readFrame reads one frame and verifies its CRC. Returns io.EOF only at a
-// clean frame boundary; every other failure is a typed decode error.
-func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("serve: bad frame length: %w", err)
-	}
-	if size > uint64(maxFrame) {
-		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit %d", size, maxFrame)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("serve: truncated frame header: %w", err)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("serve: truncated frame payload: %w", err)
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return nil, fmt.Errorf("serve: frame CRC mismatch")
-	}
-	return payload, nil
 }
 
 // encoding ------------------------------------------------------------------
@@ -400,8 +355,8 @@ func decodeMessage(payload []byte) (any, error) {
 		return m, d.done()
 	case msgResult:
 		m := resultMsg{Applied: d.uvarint(), Synced: d.uvarint(), Stale: d.bool()}
-		m.Err = d.str(DefaultMaxFrame)
-		m.Body = d.str(DefaultMaxFrame)
+		m.Err = d.str(maxFrame)
+		m.Body = d.str(maxFrame)
 		return m, d.done()
 	case msgBye:
 		return byeMsg{}, d.done()

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"datalife/internal/journal"
 )
 
 // FuzzWireDecode throws arbitrary bytes at the frame reader and message
@@ -13,13 +15,7 @@ import (
 // allocation driven by a claimed length instead of actual bytes.
 func FuzzWireDecode(f *testing.F) {
 	// Seeds: every real message type, plus deliberately broken frames.
-	frame := func(payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	frame := func(payload []byte) []byte { return journal.AppendFrame(nil, payload) }
 	f.Add(frame(encodeHello(helloMsg{Version: ProtoVersion, Session: "w"})))
 	f.Add(frame(encodeWelcome(welcomeMsg{NextSeq: 42, Resumed: true})))
 	f.Add(frame(encodeReject(rejectMsg{Kind: KindOverloaded, Retryable: true, Seq: 7, Detail: "full"})))
@@ -39,13 +35,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(frame([]byte{byte(msgEvents), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxFrame = 1 << 16
-		if len(data) > 4*maxFrame {
-			data = data[:4*maxFrame]
+		const fuzzMaxFrame = 1 << 16
+		if len(data) > 4*fuzzMaxFrame {
+			data = data[:4*fuzzMaxFrame]
 		}
 		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			payload, err := readFrame(br, maxFrame)
+			payload, err := journal.ReadFrame(br, fuzzMaxFrame)
 			if err != nil {
 				if err != io.EOF && err.Error() == "" {
 					t.Fatal("empty error message")
@@ -115,13 +111,11 @@ func TestWireRoundTrip(t *testing.T) {
 		case byeMsg:
 			payload = encodeBye()
 		}
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(journal.AppendFrame(nil, payload))
 	}
 	br := bufio.NewReader(&buf)
 	for i, want := range msgs {
-		payload, err := readFrame(br, DefaultMaxFrame)
+		payload, err := journal.ReadFrame(br, maxFrame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -146,7 +140,7 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := readFrame(br, DefaultMaxFrame); err != io.EOF {
+	if _, err := journal.ReadFrame(br, maxFrame); err != io.EOF {
 		t.Fatalf("trailing read: %v, want EOF", err)
 	}
 }
