@@ -104,6 +104,12 @@ func (c Config) sampled(file string, block int64) bool {
 	return stats.HashLocation(file, block)%c.SampleP < c.SampleT
 }
 
+// MaxExtent is the largest file extent (offset plus length) a histogram
+// supports. Below it the block arithmetic, including the block-size
+// doublings of a rescale, stays clear of int64 overflow; callers that take
+// offsets from outside the program reject larger ones.
+const MaxExtent = 1 << 60
+
 // BlockStat holds the bounded per-location statistics (the paper bounds the
 // count at roughly ten).
 type BlockStat struct {
@@ -111,6 +117,26 @@ type BlockStat struct {
 	ReadBytes, WriteBytes uint64
 	FirstAccess           float64 // virtual seconds
 	LastAccess            float64
+}
+
+// add folds src into bs: counts sum, the access window widens.
+func (bs *BlockStat) add(src *BlockStat) {
+	bs.Reads += src.Reads
+	bs.Writes += src.Writes
+	bs.ReadBytes += src.ReadBytes
+	bs.WriteBytes += src.WriteBytes
+	if src.FirstAccess < bs.FirstAccess {
+		bs.FirstAccess = src.FirstAccess
+	}
+	if src.LastAccess > bs.LastAccess {
+		bs.LastAccess = src.LastAccess
+	}
+}
+
+// block is one tracked location: its block index and its statistics.
+type block struct {
+	idx int64
+	BlockStat
 }
 
 // FlowStat is the histogram for one task-file pair: one or two flow relations
@@ -130,12 +156,13 @@ type FlowStat struct {
 	capBytes  int64
 	sampleAll bool
 
-	// One-entry block cache: sequential and repeated accesses hit the same
-	// block, so the map lookup is skipped when the last block index repeats.
-	// Invalidated whenever the blocks map is rebuilt or externally mutated
-	// (rescale, merge).
-	cacheIdx int64
-	cacheBS  *BlockStat
+	// blocks holds the tracked locations sorted by block index, so a flow's
+	// histogram is one allocation however many blocks it tracks. cur is the
+	// position of the last-touched entry: scans touch blocks in order, so the
+	// next lookup usually ends at cur or cur+1 without a search. Any value
+	// of cur is a valid hint, so nothing needs to reset it.
+	blocks []block
+	cur    int
 
 	// Aggregate counters (exact, not sampled).
 	ReadOps, WriteOps     uint64
@@ -151,8 +178,6 @@ type FlowStat struct {
 	DistN     uint64
 	ZeroDist  uint64 // consecutive accesses at identical location (temporal locality)
 	SmallDist uint64 // consecutive accesses within one block (spatial locality)
-
-	blocks map[int64]*BlockStat
 }
 
 // NewFlowStat creates the histogram for one task-file pair. fileSize may be 0
@@ -174,7 +199,6 @@ func FlowStatFor(task, file string, fileSize int64, cfg Config) *FlowStat {
 		File:     file,
 		cfg:      cfg,
 		fileSize: fileSize,
-		blocks:   make(map[int64]*BlockStat),
 	}
 	fs.blockSize = cfg.initialBlockSize(fileSize)
 	fs.capBytes = fs.blockSize * int64(cfg.BlocksPerFile)
@@ -227,7 +251,8 @@ func (fs *FlowStat) RecordClose(t float64) {
 }
 
 // RecordAccess records one read or write of n bytes at byte offset off,
-// starting at virtual time t and blocking for dt seconds.
+// starting at virtual time t and blocking for dt seconds. off must be
+// non-negative and off+n at most MaxExtent.
 func (fs *FlowStat) RecordAccess(kind OpKind, off, n int64, t, dt float64) {
 	if n <= 0 {
 		return
@@ -247,22 +272,7 @@ func (fs *FlowStat) RecordAccess(kind OpKind, off, n int64, t, dt float64) {
 		fs.WriteTime += dt
 	}
 
-	// Consecutive access distance (seek distance between successive ops).
-	if fs.haveLast {
-		d := off - fs.lastLoc
-		if d < 0 {
-			d = -d
-		}
-		fs.DistSum += float64(d)
-		fs.DistN++
-		if d == 0 {
-			fs.ZeroDist++
-		}
-		if d < fs.blockSize {
-			fs.SmallDist++
-		}
-	}
-	fs.haveLast = true
+	fs.seek(off)
 	fs.lastLoc = off + n // next sequential access has distance 0
 
 	if fs.fileSize > fs.capBytes {
@@ -275,7 +285,11 @@ func (fs *FlowStat) RecordAccess(kind OpKind, off, n int64, t, dt float64) {
 	first := off / fs.blockSize
 	last := (end - 1) / fs.blockSize
 	if first == last {
-		fs.bumpBlock(first, kind, 1, uint64(n), t, t)
+		if bs := fs.atCursor(first); bs != nil {
+			bs.bump(kind, 1, uint64(n), t, t)
+		} else {
+			fs.bumpBlock(first, kind, 1, uint64(n), t, t)
+		}
 		return
 	}
 	for b := first; b <= last; b++ {
@@ -291,22 +305,48 @@ func (fs *FlowStat) RecordAccess(kind OpKind, off, n int64, t, dt float64) {
 	}
 }
 
-// bumpBlock folds cnt accesses totalling bytes into block b, with first/last
-// access times tFirst/tLast. It routes through the one-entry block cache and
-// applies the sampling rule on miss.
-func (fs *FlowStat) bumpBlock(b int64, kind OpKind, cnt, bytes uint64, tFirst, tLast float64) {
-	bs := fs.cacheBS
-	if bs == nil || fs.cacheIdx != b {
-		if !fs.sampledBlock(b) {
-			return
+// seek records the consecutive-access ("seek") distance from the end of the
+// previous access to an access starting at loc, measured at the current
+// block size.
+func (fs *FlowStat) seek(loc int64) {
+	if fs.haveLast {
+		d := loc - fs.lastLoc
+		if d < 0 {
+			d = -d
 		}
-		bs = fs.blocks[b]
-		if bs == nil {
-			bs = &BlockStat{FirstAccess: tFirst}
-			fs.blocks[b] = bs
+		fs.DistSum += float64(d)
+		fs.DistN++
+		if d == 0 {
+			fs.ZeroDist++
 		}
-		fs.cacheIdx, fs.cacheBS = b, bs
+		if d < fs.blockSize {
+			fs.SmallDist++
+		}
 	}
+	fs.haveLast = true
+}
+
+// bumpBlock folds cnt accesses totalling bytes into block b, with first/last
+// access times tFirst/tLast. A block the sampling rule skips is not tracked.
+func (fs *FlowStat) bumpBlock(b int64, kind OpKind, cnt, bytes uint64, tFirst, tLast float64) {
+	if bs := fs.slot(b, tFirst); bs != nil {
+		bs.bump(kind, cnt, bytes, tFirst, tLast)
+	}
+}
+
+// atCursor returns the statistics of block b if it is the block last
+// touched, else nil. It is small enough to inline, so RecordAccess takes its
+// common case, another access to the same block, without a call.
+func (fs *FlowStat) atCursor(b int64) *BlockStat {
+	if c := uint(fs.cur); c < uint(len(fs.blocks)) && fs.blocks[c].idx == b {
+		return &fs.blocks[c].BlockStat
+	}
+	return nil
+}
+
+// bump folds cnt accesses totalling bytes, first at tFirst and last at
+// tLast, into bs.
+func (bs *BlockStat) bump(kind OpKind, cnt, bytes uint64, tFirst, tLast float64) {
 	switch kind {
 	case Read:
 		bs.Reads += cnt
@@ -323,37 +363,75 @@ func (fs *FlowStat) bumpBlock(b int64, kind OpKind, cnt, bytes uint64, tFirst, t
 	}
 }
 
+// slot returns the statistics of block b, first accessed at t if the block
+// is new, and moves the cursor to it. It returns nil for a location the
+// sampling rule skips. The pointer is valid until the next insertion or
+// rescale.
+func (fs *FlowStat) slot(b int64, t float64) *BlockStat {
+	i, ok := fs.find(b)
+	if !ok {
+		if !fs.sampledBlock(b) {
+			return nil
+		}
+		fs.blocks = append(fs.blocks, block{})
+		copy(fs.blocks[i+1:], fs.blocks[i:])
+		fs.blocks[i] = block{idx: b, BlockStat: BlockStat{FirstAccess: t}}
+	}
+	fs.cur = i
+	return &fs.blocks[i].BlockStat
+}
+
+// find returns the position of block b in fs.blocks and whether it is
+// tracked; an untracked block's position is where it would be inserted. The
+// cursor narrows the search, and a block at or just after it needs no
+// search at all.
+func (fs *FlowStat) find(b int64) (int, bool) {
+	blocks := fs.blocks
+	lo, hi := 0, len(blocks)
+	if c := fs.cur; c < hi {
+		switch idx := blocks[c].idx; {
+		case idx == b:
+			return c, true
+		case idx < b:
+			lo = c + 1
+		default:
+			hi = c
+		}
+	}
+	if lo < hi && blocks[lo].idx >= b {
+		hi = lo
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if blocks[m].idx < b {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(blocks) && blocks[lo].idx == b
+}
+
 // rescaleIfNeeded doubles the block size and folds histogram bins whenever the
 // observed file extent would need more than BlocksPerFile locations. This is
 // the paper's "adjustable access resolution" for growing (written) files.
+// Halving the block indices keeps them sorted, so the bins that share a new
+// block are adjacent and fold in place.
 func (fs *FlowStat) rescaleIfNeeded() {
 	for fs.fileSize > fs.capBytes {
 		fs.blockSize *= 2
 		fs.capBytes *= 2
-		fs.cacheIdx, fs.cacheBS = 0, nil // block indices are renumbered
-		folded := make(map[int64]*BlockStat, len(fs.blocks))
-		for b, bs := range fs.blocks {
-			nb := b / 2
+		folded := fs.blocks[:0]
+		for _, e := range fs.blocks {
+			e.idx /= 2
+			if n := len(folded); n > 0 && folded[n-1].idx == e.idx {
+				folded[n-1].add(&e.BlockStat)
+				continue
+			}
 			// A folded location survives only if the sampling rule keeps it
 			// at the new resolution, preserving determinism across rescales.
-			if !fs.sampledBlock(nb) {
-				continue
-			}
-			dst := folded[nb]
-			if dst == nil {
-				cp := *bs
-				folded[nb] = &cp
-				continue
-			}
-			dst.Reads += bs.Reads
-			dst.Writes += bs.Writes
-			dst.ReadBytes += bs.ReadBytes
-			dst.WriteBytes += bs.WriteBytes
-			if bs.FirstAccess < dst.FirstAccess {
-				dst.FirstAccess = bs.FirstAccess
-			}
-			if bs.LastAccess > dst.LastAccess {
-				dst.LastAccess = bs.LastAccess
+			if fs.sampledBlock(e.idx) {
+				folded = append(folded, e)
 			}
 		}
 		fs.blocks = folded
@@ -375,8 +453,8 @@ func (fs *FlowStat) TotalVolume() uint64 { return fs.ReadBytes + fs.WriteBytes }
 // the sampled per-block histogram, scaled by 1/r and capped at the file size.
 func (fs *FlowStat) Footprint(kind OpKind) uint64 {
 	var blocks int64
-	for _, bs := range fs.blocks {
-		if (kind == Read && bs.Reads > 0) || (kind == Write && bs.Writes > 0) {
+	for i := range fs.blocks {
+		if bs := &fs.blocks[i]; (kind == Read && bs.Reads > 0) || (kind == Write && bs.Writes > 0) {
 			blocks++
 		}
 	}
@@ -391,8 +469,8 @@ func (fs *FlowStat) Footprint(kind OpKind) uint64 {
 // TotalFootprint estimates unique bytes touched by either direction.
 func (fs *FlowStat) TotalFootprint() uint64 {
 	var blocks int64
-	for _, bs := range fs.blocks {
-		if bs.Reads > 0 || bs.Writes > 0 {
+	for i := range fs.blocks {
+		if bs := &fs.blocks[i]; bs.Reads > 0 || bs.Writes > 0 {
 			blocks++
 		}
 	}
@@ -460,8 +538,9 @@ func (fs *FlowStat) HotBlocks(n int) []int64 {
 		c uint64
 	}
 	all := make([]bc, 0, len(fs.blocks))
-	for b, bs := range fs.blocks {
-		all = append(all, bc{b, uint64(bs.Reads) + uint64(bs.Writes)})
+	for i := range fs.blocks {
+		e := &fs.blocks[i]
+		all = append(all, bc{e.idx, e.Reads + e.Writes})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
@@ -479,16 +558,22 @@ func (fs *FlowStat) HotBlocks(n int) []int64 {
 	return out
 }
 
-// Block returns the statistics for block b, or nil if untracked.
-func (fs *FlowStat) Block(b int64) *BlockStat { return fs.blocks[b] }
+// Block returns a copy of the statistics for block b, or nil if untracked.
+func (fs *FlowStat) Block(b int64) *BlockStat {
+	i, ok := fs.find(b)
+	if !ok {
+		return nil
+	}
+	bs := fs.blocks[i].BlockStat
+	return &bs
+}
 
 // Blocks returns tracked block indices in ascending order.
 func (fs *FlowStat) Blocks() []int64 {
-	out := make([]int64, 0, len(fs.blocks))
-	for b := range fs.blocks {
-		out = append(out, b)
+	out := make([]int64, len(fs.blocks))
+	for i := range fs.blocks {
+		out[i] = fs.blocks[i].idx
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

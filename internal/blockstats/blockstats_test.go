@@ -157,7 +157,7 @@ func TestConstantSpaceUnderManyOps(t *testing.T) {
 		off := int64(i*7919) % (1 << 20)
 		fs.RecordAccess(Read, off, 512, float64(i), 0.001)
 	}
-	if fs.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if fs.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked blocks = %d, exceeds bound %d", fs.TrackedBlocks(), cfg.BlocksPerFile)
 	}
 }
@@ -172,7 +172,7 @@ func TestConstantSpaceUnderGrowingFile(t *testing.T) {
 		fs.RecordAccess(Write, off, 128, float64(i), 0.001)
 		off += 128
 	}
-	if fs.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if fs.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked blocks = %d, exceeds bound %d", fs.TrackedBlocks(), cfg.BlocksPerFile)
 	}
 	if fs.FileSize() != 128*10000 {
@@ -304,7 +304,7 @@ func TestQuickFootprintBounded(t *testing.T) {
 			blockBound += n/fs.BlockSize() + 2
 		}
 		return int64(fs.Footprint(Read)) <= blockBound*fs.BlockSize() &&
-			fs.TrackedBlocks() <= cfg.BlocksPerFile+1
+			fs.TrackedBlocks() <= cfg.BlocksPerFile
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestMergeDifferentBlockSizes(t *testing.T) {
 	if a.BlockSize() < 800 {
 		t.Fatalf("merged block size = %d, want >= 800", a.BlockSize())
 	}
-	if a.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if a.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked = %d exceeds bound", a.TrackedBlocks())
 	}
 	if a.ReadBytes != 7200 {

@@ -49,28 +49,13 @@ func (fs *FlowStat) Merge(other *FlowStat) error {
 	for fs.blockSize < other.blockSize {
 		fs.forceRescale()
 	}
-	ratio := other.blockSize         // bytes per source block
-	fs.cacheIdx, fs.cacheBS = 0, nil // direct map mutation below
-	for b, bs := range other.blocks {
-		nb := (b * ratio) / fs.blockSize
-		if !fs.sampledBlock(nb) {
-			continue
-		}
-		dst := fs.blocks[nb]
-		if dst == nil {
-			cp := *bs
-			fs.blocks[nb] = &cp
-			continue
-		}
-		dst.Reads += bs.Reads
-		dst.Writes += bs.Writes
-		dst.ReadBytes += bs.ReadBytes
-		dst.WriteBytes += bs.WriteBytes
-		if bs.FirstAccess < dst.FirstAccess {
-			dst.FirstAccess = bs.FirstAccess
-		}
-		if bs.LastAccess > dst.LastAccess {
-			dst.LastAccess = bs.LastAccess
+	ratio := other.blockSize // bytes per source block
+	for i := range other.blocks {
+		src := &other.blocks[i]
+		// A new block starts from src's own window: LastAccess is never
+		// negative, so widening the fresh slot's zero to it is exact.
+		if dst := fs.slot(src.idx*ratio/fs.blockSize, src.FirstAccess); dst != nil {
+			dst.add(&src.BlockStat)
 		}
 	}
 	fs.rescaleIfNeeded()

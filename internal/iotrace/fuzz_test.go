@@ -64,8 +64,8 @@ func FuzzHandleOps(f *testing.F) {
 			t.Fatalf("collector counted %d bytes, ops could move at most %d",
 				fl.ReadBytes+fl.WriteBytes, maxMoved)
 		}
-		if fl.TrackedBlocks() > 9 {
-			t.Fatalf("histogram grew to %d blocks", fl.TrackedBlocks())
+		if bound := col.Config().BlocksPerFile; fl.TrackedBlocks() > bound {
+			t.Fatalf("histogram grew to %d blocks, bound %d", fl.TrackedBlocks(), bound)
 		}
 	})
 }

@@ -360,7 +360,7 @@ func TestMeasurementSpaceProportionalToTaskFilePairs(t *testing.T) {
 		t.Fatalf("NumFlows = %d, want 1", e.col.NumFlows())
 	}
 	fl := e.col.Flows()[0]
-	if fl.TrackedBlocks() > e.col.Config().BlocksPerFile+1 {
+	if fl.TrackedBlocks() > e.col.Config().BlocksPerFile {
 		t.Fatalf("tracked blocks %d exceed bound", fl.TrackedBlocks())
 	}
 }

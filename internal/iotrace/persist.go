@@ -14,8 +14,8 @@ import (
 // lifetimes so collection and analysis can run as separate phases.
 
 // persistFlow is the stable serialization of one task-file histogram. The
-// per-block map is reduced to its aggregate form (the graph builder consumes
-// aggregates; block detail can be re-measured when needed).
+// per-block histogram is reduced to its aggregate form (graph construction
+// consumes aggregates; block detail can be re-measured when needed).
 type persistFlow struct {
 	Task string `json:"task"`
 	File string `json:"file"`
@@ -85,7 +85,7 @@ func (c *Collector) persistDoc() persistDoc {
 }
 
 // flowRecord copies a histogram's aggregates into the serialized form. The
-// footprints, which walk the block map, are left to the caller.
+// footprints, which walk the block histogram, are left to the caller.
 func flowRecord(fl *blockstats.FlowStat) persistFlow {
 	return persistFlow{
 		Task: fl.Task, File: fl.File,

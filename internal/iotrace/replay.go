@@ -27,7 +27,7 @@ const (
 	EvWrite
 	// EvReadChunks is a closed-form sequential read batch: Len bytes from
 	// Off in Chunk-sized pieces, repeated Rep times, starting at T with Dt
-	// per chunk (see blockstats.RecordSequentialChunks).
+	// per chunk (see blockstats.RecordStridedChunks with stride == chunk).
 	EvReadChunks
 	// EvWriteChunks is the write analogue of EvReadChunks.
 	EvWriteChunks
@@ -72,10 +72,49 @@ type TraceEvent struct {
 	T, Dt float64
 }
 
+// maxChargeAccesses bounds the accesses, ⌈Len/Chunk⌉·Rep, one chunk-batch
+// event may charge. Charging is linear in them (latency totals are repeated
+// additions), so one unbounded batch from the wire would stall its session,
+// and stall it again on every journal replay. Real producers send at most a
+// few hundred.
+const maxChargeAccesses = 1 << 16
+
+// checkGeometry rejects a file event whose geometry no histogram can
+// represent: a negative or out-of-range size hint, offset, length or chunk,
+// an access ending past blockstats.MaxExtent, or a chunk batch of more than
+// maxChargeAccesses accesses.
+func checkGeometry(ev TraceEvent) error {
+	if ev.FileSize < 0 || ev.FileSize > blockstats.MaxExtent {
+		return fmt.Errorf("iotrace: %s event with file size %d outside [0, %d]", ev.Kind, ev.FileSize, int64(blockstats.MaxExtent))
+	}
+	if ev.Kind == EvOpen || ev.Kind == EvClose {
+		return nil // no access geometry
+	}
+	if ev.Off < 0 || ev.Len < 0 || ev.Chunk < 0 {
+		return fmt.Errorf("iotrace: %s event with negative geometry (off=%d len=%d chunk=%d)", ev.Kind, ev.Off, ev.Len, ev.Chunk)
+	}
+	if ev.Off > blockstats.MaxExtent-ev.Len {
+		return fmt.Errorf("iotrace: %s event at off=%d len=%d ends past %d", ev.Kind, ev.Off, ev.Len, int64(blockstats.MaxExtent))
+	}
+	if ev.Kind == EvRead || ev.Kind == EvWrite || ev.Len == 0 {
+		return nil
+	}
+	chunk := ev.Chunk
+	if chunk == 0 || chunk > ev.Len {
+		chunk = ev.Len
+	}
+	if m := (ev.Len + chunk - 1) / chunk; m > maxChargeAccesses/int64(max(ev.Rep, 1)) {
+		return fmt.Errorf("iotrace: %s event charges %d chunks %d times, over the %d-access limit", ev.Kind, m, max(ev.Rep, 1), maxChargeAccesses)
+	}
+	return nil
+}
+
 // ApplyEvent replays one trace event into the collector, updating task
 // lifecycle or flow histograms exactly as the live measurement shim would.
-// The flow-level calls follow the owner-mutates discipline: callers replaying
-// into a shared collector must serialize events of the same (task, file) flow.
+// An event whose geometry no histogram can represent is rejected before it
+// creates or touches a flow (see checkGeometry). The flow-level calls follow
+// the owner-mutates discipline: callers replaying into a shared collector
+// must serialize events of the same (task, file) flow.
 func (c *Collector) ApplyEvent(ev TraceEvent) error {
 	if ev.Kind >= numEventKinds {
 		return fmt.Errorf("iotrace: unknown trace event kind %d", uint8(ev.Kind))
@@ -94,6 +133,9 @@ func (c *Collector) ApplyEvent(ev TraceEvent) error {
 	if ev.File == "" {
 		return fmt.Errorf("iotrace: %s event without a file", ev.Kind)
 	}
+	if err := checkGeometry(ev); err != nil {
+		return err
+	}
 	fl := c.Flow(ev.Task, ev.File, ev.FileSize)
 	switch ev.Kind {
 	case EvOpen:
@@ -105,9 +147,9 @@ func (c *Collector) ApplyEvent(ev TraceEvent) error {
 	case EvWrite:
 		fl.RecordAccess(blockstats.Write, ev.Off, ev.Len, ev.T, ev.Dt)
 	case EvReadChunks:
-		fl.RecordSequentialChunks(blockstats.Read, ev.Off, ev.Len, ev.Chunk, ev.Rep, ev.T, ev.Dt)
+		fl.RecordStridedChunks(blockstats.Read, ev.Off, ev.Len, ev.Chunk, ev.Chunk, ev.Rep, ev.T, ev.Dt)
 	case EvWriteChunks:
-		fl.RecordSequentialChunks(blockstats.Write, ev.Off, ev.Len, ev.Chunk, ev.Rep, ev.T, ev.Dt)
+		fl.RecordStridedChunks(blockstats.Write, ev.Off, ev.Len, ev.Chunk, ev.Chunk, ev.Rep, ev.T, ev.Dt)
 	}
 	return nil
 }

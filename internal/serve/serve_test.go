@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"datalife/internal/blockstats"
 	"datalife/internal/dfl"
 	"datalife/internal/iotrace"
 	"datalife/internal/journal"
@@ -565,6 +566,59 @@ func TestTwoClientsIdenticalFingerprints(t *testing.T) {
 	a.mu.Unlock()
 	if bf := batch.Fingerprint(); bf != live {
 		t.Fatalf("live graph fingerprint %#x != batch build %#x", live, bf)
+	}
+}
+
+// TestHostileGeometryIsSkipped streams a workflow with events interleaved
+// whose geometry no histogram can represent (a negative offset, an extent
+// past 2^62, a 2^30-access chunk batch, the wire's largest repeat count).
+// Every batch is acked durably, the session keeps answering fresh queries,
+// and its graph is the one dfl.Build derives from the valid events alone.
+func TestHostileGeometryIsSkipped(t *testing.T) {
+	srv, addr := startServer(t, Config{Dir: t.TempDir()})
+	valid := ChainEvents(30)
+	hostile := []iotrace.TraceEvent{
+		{Kind: iotrace.EvRead, Task: "t3", File: "d2", Off: -1 << 40, Len: 10, T: 3.3},
+		{Kind: iotrace.EvRead, Task: "t4", File: "d3", Off: 1<<62 + 1, Len: 10, T: 4.3},
+		{Kind: iotrace.EvReadChunks, Task: "t5", File: "d4", Len: 1 << 30, Chunk: 1, Rep: 1, T: 5.3, Dt: 1},
+		{Kind: iotrace.EvWriteChunks, Task: "x", File: "y", Len: 4096, Chunk: 4096, Rep: maxRep, T: 6, Dt: 1},
+	}
+	var stream []iotrace.TraceEvent
+	for i, ev := range valid {
+		stream = append(stream, ev)
+		if i%40 == 20 && len(hostile) > 0 {
+			stream, hostile = append(stream, hostile[0]), hostile[1:]
+		}
+	}
+	if len(hostile) != 0 {
+		t.Fatal("stream too short to carry every hostile event")
+	}
+
+	c, err := Dial(testClientConfig(addr, "hostile"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	sendInBatches(t, c, stream, 16)
+	res, err := c.Query("summary", 5, uint64(len(stream)))
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if res.Stale {
+		t.Fatal("summary after the hostile stream answered stale")
+	}
+
+	col := iotrace.MustCollector(blockstats.DefaultConfig())
+	for _, ev := range valid {
+		if err := col.ApplyEvent(ev); err != nil {
+			t.Fatalf("valid event %+v: %v", ev, err)
+		}
+	}
+	srv.mu.Lock()
+	s := srv.sessions["hostile"]
+	srv.mu.Unlock()
+	if got, want := sessionFingerprint(s), dfl.Build(col).Fingerprint(); got != want {
+		t.Fatalf("session fingerprint %#x, dfl.Build over the valid events %#x", got, want)
 	}
 }
 

@@ -1961,13 +1961,20 @@ func (e *Engine) recordRead(ts *taskState, op *Op, dur float64) {
 	if rep < 1 {
 		rep = 1
 	}
-	nAcc := (n + chunk - 1) / chunk * int64(rep)
-	per := dur / float64(nAcc)
+	m := (n + chunk - 1) / chunk // chunks per scan
+	per := dur / float64(m*int64(rep))
 	fl := e.Col.Flow(ts.task.Name, op.Path, f.Size)
-	if op.Pattern == Sequential {
-		// Sequential scans charge in closed form: one histogram update per
-		// touched block instead of one RecordAccess per chunk.
-		fl.RecordSequentialChunks(blockstats.Read, off, n, chunk, rep, ts.opStart, per)
+	stride := chunk
+	if op.Pattern == Strided && op.Stride > 0 {
+		stride = op.Stride
+	}
+	// Sequential scans, and strided ones whose chunks do not overlap and
+	// whose last chunk ends inside the file (so no chunk is clamped), charge
+	// in closed form: one histogram update per touched block instead of one
+	// RecordAccess per chunk.
+	last := n - (m-1)*chunk
+	if op.Pattern != RandomPattern && (m == 1 || stride >= chunk && stride <= (f.Size-off-last)/(m-1)) {
+		fl.RecordStridedChunks(blockstats.Read, off, n, chunk, stride, rep, ts.opStart, per)
 		return
 	}
 	i := int64(0)
@@ -2011,7 +2018,7 @@ func (e *Engine) recordWrite(ts *taskState, op *Op, off int64, dur float64) {
 	}
 	fl := e.Col.Flow(ts.task.Name, op.Path, 0)
 	// Writes are always sequential over [off, off+Bytes): batch-charge them.
-	fl.RecordSequentialChunks(blockstats.Write, off, op.Bytes, chunk, 1, ts.opStart, per)
+	fl.RecordStridedChunks(blockstats.Write, off, op.Bytes, chunk, chunk, 1, ts.opStart, per)
 }
 
 // finishTask releases the core, updates stage spans, and wakes dependents.
