@@ -62,13 +62,6 @@ type persistDoc struct {
 
 // SaveJSON writes the collector state as a stable JSON document.
 func (c *Collector) SaveJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.persistDoc())
-}
-
-// persistDoc snapshots the collector into its stable serialized form.
-func (c *Collector) persistDoc() persistDoc {
 	doc := persistDoc{Config: c.Config()}
 	for _, ti := range c.Tasks() {
 		doc.Tasks = append(doc.Tasks, persistTask{Name: ti.Name, Start: ti.Start, End: ti.End,
@@ -81,7 +74,9 @@ func (c *Collector) persistDoc() persistDoc {
 		pf.TotalFootprint = fl.TotalFootprint()
 		doc.Flows = append(doc.Flows, pf)
 	}
-	return doc
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 // flowRecord copies a histogram's aggregates into the serialized form. The
@@ -137,10 +132,6 @@ type SavedState struct {
 	Config blockstats.Config
 	Tasks  []TaskInfo
 	Flows  []SavedFlow
-	// Partial reports that the state was recovered from a journal whose
-	// tail was torn (the run was killed mid-flight): the snapshot is the
-	// last durable one, not necessarily the run's final state.
-	Partial bool
 }
 
 // LoadJSON reads a measurement database written by SaveJSON.
@@ -149,10 +140,6 @@ func LoadJSON(r io.Reader) (*SavedState, error) {
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("iotrace: decoding saved state: %w", err)
 	}
-	return docToState(doc), nil
-}
-
-func docToState(doc persistDoc) *SavedState {
 	st := &SavedState{Config: doc.Config}
 	for _, pt := range doc.Tasks {
 		st.Tasks = append(st.Tasks, TaskInfo{Name: pt.Name, Start: pt.Start, End: pt.End,
@@ -161,7 +148,7 @@ func docToState(doc persistDoc) *SavedState {
 	for i := range doc.Flows {
 		st.Flows = append(st.Flows, doc.Flows[i].summary())
 	}
-	return st
+	return st, nil
 }
 
 // summary derives the graph builder's per-flow metrics from the aggregates,

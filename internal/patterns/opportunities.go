@@ -364,22 +364,23 @@ func detectInterTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config
 		// Case 2: if the consumers are instances of one task template, the
 		// reuse recurs across instances (loop iterations) — data retention
 		// is the remediation; otherwise it is plain multi-consumer sharing.
+		// The template with the most instances is named, ties going to the
+		// smaller name, so the report does not depend on map order.
 		templates := make(map[string]int)
 		for _, c := range consumers {
 			templates[dfl.InstanceSuffixGroup(dfl.TaskVertex, c.Name)]++
 		}
-		loopTemplate := ""
+		loopTemplate, loopN := "", 1
 		for tpl, n := range templates {
-			if n >= 2 {
-				loopTemplate = tpl
-				break
+			if n > loopN || n == loopN && tpl < loopTemplate {
+				loopTemplate, loopN = tpl, n
 			}
 		}
 		detail := fmt.Sprintf("%d consumers share this data (%.4g B total read)",
 			len(consumers), vol)
 		if loopTemplate != "" {
 			detail += fmt.Sprintf("; %d are instances of task %q (loop reuse — retain data across iterations)",
-				templates[loopTemplate], loopTemplate)
+				loopN, loopTemplate)
 		}
 		vs := append([]dfl.ID{v.ID}, consumers...)
 		out = append(out, newOpp(InterTaskLocality, vol*float64(len(consumers)-1),

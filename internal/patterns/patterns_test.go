@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,6 +206,30 @@ func TestDetectDataVolumeAndReuse(t *testing.T) {
 	for i := 1; i < len(opps); i++ {
 		if opps[i].Severity > opps[i-1].Severity {
 			t.Fatal("opportunities not ranked")
+		}
+	}
+}
+
+// TestInterTaskLocalityNamesLoopTemplateDeterministically reads one file
+// from three instances each of two task templates. The tie must name the
+// smaller template on every analysis, whatever the map iteration order.
+func TestInterTaskLocalityNamesLoopTemplateDeterministically(t *testing.T) {
+	g := dfl.New()
+	d := dfl.DataID("chr1n.tar.gz")
+	for _, tpl := range []string{"mutat", "freq"} {
+		for i := 1; i <= 3; i++ {
+			edge(t, g, d, dfl.TaskID(fmt.Sprintf("%s#%d", tpl, i)), dfl.Consumer, dfl.FlowProps{Volume: 1000})
+		}
+	}
+	for run := 0; run < 64; run++ {
+		var detail string
+		for _, o := range Analyze(g, nil, Config{}) {
+			if o.Kind == InterTaskLocality {
+				detail = o.Detail
+			}
+		}
+		if !strings.Contains(detail, `3 are instances of task "freq"`) {
+			t.Fatalf("run %d: detail %q, want the loop template freq", run, detail)
 		}
 	}
 }

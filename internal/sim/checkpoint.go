@@ -144,7 +144,7 @@ func (e *Engine) startCkptFlow(st *ckptState, tier *vfs.Tier, write bool) {
 		// partition cut stalls the copy; it drains after the heal.
 		if h, err := e.flowRoute(st.srcNode, tier, write); err == nil {
 			hops = h
-			extraBytes, extraLat := e.linkEffects(hops, "checkpoint:"+st.path, st.leg, 1, st.size, 1, 1)
+			extraBytes, extraLat := e.linkEffects(hops, "checkpoint:"+st.path, st.leg, 1, st.size, 1)
 			rem += extraBytes
 			extra += extraLat
 		}

@@ -57,9 +57,6 @@ type Engine struct {
 	Col *iotrace.Collector
 	// Planner routes reads; nil means home-tier.
 	Planner ReadPlanner
-	// ChunkLatencyEvery charges tier latency once per this many chunk
-	// accesses (default 1). Raising it models latency-hiding pipelining.
-	ChunkLatencyEvery int
 	// Trace, when non-nil, receives every completed operation with resolved
 	// offsets and timing — the capture half of trace-based emulation.
 	Trace TraceSink
@@ -71,20 +68,6 @@ type Engine struct {
 	// Retry tunes the recovery policy when faults are active; zero fields
 	// fall back to faults.DefaultRetryPolicy.
 	Retry faults.RetryPolicy
-	// Workers, when > 1, enables conservative parallel execution: the
-	// workload is partitioned into groups that share no node, tier, file,
-	// or dependency edge, each group runs on its own goroutine with a
-	// private engine, and the Results are merged in canonical group order.
-	// Whenever the partition finds a single component — or a coupling
-	// feature is active (collectors, tracing, custom planners,
-	// checkpointing, node crashes, unpinned tasks) — the run falls back to
-	// the exact serial loop. Per-task and per-tier outputs are always
-	// identical to a serial run; cross-group scalar totals (ComputeTime,
-	// RecoverySeconds) sum the same addends in canonical rather than
-	// chronological order, so they are bit-identical whenever those sums
-	// are exact (e.g. dyadic compute times) and equal to the last ulp
-	// otherwise.
-	Workers int
 	// Checkpoint, when non-nil with a non-empty file list, proactively
 	// copies the listed intermediate files to its durable tier as soon as
 	// a task that wrote them finishes, and the crash-recovery triage
@@ -104,7 +87,7 @@ type Engine struct {
 	seq      int64
 	pool     []*event                 // free list; retired events recycle through schedule()
 	flowPool []*flow                  // free list for completed flows (incremental mode)
-	tiers    map[*vfs.Tier]*tierState // per-tier flow set, counts, rate epoch, meta queue
+	tiers    map[*vfs.Tier]*tierState // per-tier flow set, counts, completion event, meta queue
 	flowSeq  int64                    // flow creation order, for deterministic tie-breaks
 	// naive switches fair-share repricing to the reference O(flows/tier)
 	// implementation (recount, settle, reschedule every flow at every
@@ -231,14 +214,12 @@ type flow struct {
 // unordered; flows carry their index for O(1) swap-remove), incrementally
 // maintained reader/writer counts, the tier's single pending completion
 // event (aimed at the earliest-finishing flow and re-aimed in place at each
-// boundary), a rate epoch counting boundaries, and the metadata-server
-// queue tail.
+// boundary), and the metadata-server queue tail.
 type tierState struct {
 	tier  *vfs.Tier
 	flows []*flow
-	nr    int // live read flows
-	nw    int // live write flows
-	epoch int64
+	nr    int     // live read flows
+	nw    int     // live write flows
 	ev    *event  // pending evFlowDone; nil when the tier is idle or stalled
 	meta  float64 // metadata server next-free time
 	// Result accumulators, flushed into the Result maps once at the end of
@@ -593,14 +574,6 @@ func (e *Engine) Run(w *Workload) (*Result, error) {
 	}
 	if e.Planner == nil {
 		e.Planner = homePlanner{}
-	}
-	if e.ChunkLatencyEvery <= 0 {
-		e.ChunkLatencyEvery = 1
-	}
-	if e.Workers > 1 {
-		if res, err, ok := e.runParallel(w); ok {
-			return res, err
-		}
 	}
 	e.now = 0
 	e.eq = nil
@@ -1448,8 +1421,8 @@ func (e *Engine) startPart(ts *taskState) {
 	part := ts.parts[ts.partIdx]
 	write := op.Kind == OpWrite || (op.Kind == OpStage && ts.partIdx == 1)
 
-	// Per-access latency: one tier latency per chunk (or batch of chunks),
-	// unless the planner declared the part a batched transfer.
+	// Per-access latency: one tier latency per chunk, unless the planner
+	// declared the part a batched transfer.
 	chunk := op.Chunk
 	if chunk <= 0 {
 		chunk = part.Bytes
@@ -1458,8 +1431,7 @@ func (e *Engine) startPart(ts *taskState) {
 	if part.Requests > 0 {
 		nAcc = part.Requests
 	}
-	batches := (nAcc + int64(e.ChunkLatencyEvery) - 1) / int64(e.ChunkLatencyEvery)
-	extra := float64(batches) * part.Tier.LatencyS
+	extra := float64(nAcc) * part.Tier.LatencyS
 
 	rem := float64(part.Bytes)
 	var hops []hop
@@ -1474,7 +1446,7 @@ func (e *Engine) startPart(ts *taskState) {
 			e.opFail(ts, ts.pc, op, FailPartition, pe)
 			return
 		}
-		extraBytes, extraLat := e.linkEffects(hops, ts.task.Name, ts.pc, ts.attempt, part.Bytes, nAcc, batches)
+		extraBytes, extraLat := e.linkEffects(hops, ts.task.Name, ts.pc, ts.attempt, part.Bytes, nAcc)
 		rem += extraBytes
 		extra += extraLat
 	}
@@ -1592,9 +1564,8 @@ func (e *Engine) issueAsyncWrite(ts *taskState, op *Op) error {
 		chunk = op.Bytes
 	}
 	nAcc := (op.Bytes + chunk - 1) / chunk
-	batches := (nAcc + int64(e.ChunkLatencyEvery) - 1) / int64(e.ChunkLatencyEvery)
 	rem := float64(op.Bytes)
-	extra := float64(batches) * f.Tier.LatencyS
+	extra := float64(nAcc) * f.Tier.LatencyS
 	var hops []hop
 	if e.netOn {
 		// Buffered writes never fail fast on a partition cut — the issuing op
@@ -1604,7 +1575,7 @@ func (e *Engine) issueAsyncWrite(ts *taskState, op *Op) error {
 		if err != nil {
 			return err
 		}
-		extraBytes, extraLat := e.linkEffects(hops, ts.task.Name, ts.pc, ts.attempt, op.Bytes, nAcc, batches)
+		extraBytes, extraLat := e.linkEffects(hops, ts.task.Name, ts.pc, ts.attempt, op.Bytes, nAcc)
 		rem += extraBytes
 		extra += extraLat
 	}
@@ -1679,7 +1650,6 @@ func (e *Engine) resettle(st *tierState) {
 		e.resettleNaive(st)
 		return
 	}
-	st.epoch++
 	if len(st.flows) == 0 {
 		if st.ev != nil {
 			e.heapRemove(st.ev.idx)
@@ -1760,14 +1730,14 @@ func (e *Engine) resettle(st *tierState) {
 	}
 	if st.ev != nil {
 		ev := st.ev
-		ev.t, ev.fl, ev.version = bestT, best, st.epoch
+		ev.t, ev.fl = bestT, best
 		e.seq++
 		ev.seq = e.seq
 		e.heapFix(ev.idx)
 		return
 	}
 	ev := e.newEvent()
-	ev.t, ev.kind, ev.fl, ev.version, ev.ts, ev.gen = bestT, evFlowDone, best, st.epoch, nil, 0
+	ev.t, ev.kind, ev.fl, ev.version, ev.ts, ev.gen = bestT, evFlowDone, best, 0, nil, 0
 	e.push(ev)
 	st.ev = ev
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -35,10 +36,10 @@ func runRepricer(t *testing.T, spec *workflows.Spec, naive bool, sched *faults.S
 }
 
 // checkEquivalent runs a spec under both repricers and requires identical
-// outcomes — same error (if any) and a deeply equal Result. Every float in
-// the Result is the product of the settle/fair-rate arithmetic, so this is
-// a bitwise check, not an epsilon one.
-func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule) {
+// outcomes — same error (if any) and a deeply equal Result, which it
+// returns. Every float in the Result is the product of the settle/fair-rate
+// arithmetic, so this is a bitwise check, not an epsilon one.
+func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule) *sim.Result {
 	t.Helper()
 	inc, incErr := runRepricer(t, spec, false, sched)
 	ref, refErr := runRepricer(t, spec, true, sched)
@@ -49,11 +50,12 @@ func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule)
 		if incErr.Error() != refErr.Error() {
 			t.Fatalf("%s: error text mismatch:\n  incremental: %v\n  reference:   %v", spec.Name, incErr, refErr)
 		}
-		return
+		return nil
 	}
 	if !reflect.DeepEqual(inc, ref) {
 		t.Fatalf("%s: results diverge:\n  incremental: %+v\n  reference:   %+v", spec.Name, inc, ref)
 	}
+	return inc
 }
 
 // TestReshareEquivalence pits the incremental repricer against the naive
@@ -82,5 +84,46 @@ func TestReshareEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		spec := workflows.StressRandom(workflows.DefaultStressRandomParams(80, 1000+seed))
 		checkEquivalent(t, spec, base.WithSeed(uint64(seed)))
+	}
+}
+
+// TestParallelSerialEquivalenceFaulty injects transient I/O errors, a
+// slowdown window and an outage, all keyed to node-local tiers, and requires
+// the serial run to be reproducible: the incremental and naive repricers
+// agree, and a second independent run renders to the same bytes. The name
+// predates the removal of the parallel group runner this run was once
+// compared against. Tier names contain '@', which ParseSpec cannot express,
+// so the schedule is built directly.
+func TestParallelSerialEquivalenceFaulty(t *testing.T) {
+	sched := &faults.Schedule{
+		Seed:         7,
+		IOErrorRates: map[string]float64{"ssd@node1": 0.05},
+		Slowdowns:    []faults.Slowdown{{Tier: "ssd@node2", Start: 2, End: 20, Factor: 0.5}},
+		Outages:      []faults.Outage{{Tier: "ssd@node3", Start: 4, End: 6}},
+	}
+	mk := func() *workflows.Spec {
+		return workflows.ShardedChains(workflows.DefaultShardedChainsParams(4, 120))
+	}
+	res := checkEquivalent(t, mk(), sched)
+	if res == nil {
+		t.Fatal("node-local fault schedule made the run fail")
+	}
+	again, err := runRepricer(t, mk(), false, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Fatalf("repeated runs diverge:\n  first:  %+v\n  second: %+v", res, again)
+	}
+	// fmt sorts map keys, so rendered output is a deterministic byte string
+	// — the same check a golden-stdout gate would make.
+	if a, b := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", again); a != b {
+		t.Fatalf("rendered results diverge:\n  first:  %s\n  second: %s", a, b)
+	}
+	if len(res.Failures) == 0 {
+		t.Fatal("fixture injected no failures; faulty coverage is vacuous")
+	}
+	if res.Attempts == nil {
+		t.Fatal("faulty run lost its Attempts map")
 	}
 }

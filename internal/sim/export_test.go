@@ -6,7 +6,3 @@ package sim
 // every boundary. Test-only: the equivalence suite runs both modes over
 // randomized workloads and asserts identical Results.
 func (e *Engine) SetNaive(v bool) { e.naive = v }
-
-// PartitionTasks exposes the conservative parallel-execution partition so
-// tests can assert which workloads split and into how many groups.
-func (e *Engine) PartitionTasks(w *Workload) [][]int { return e.partitionTasks(w) }

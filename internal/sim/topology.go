@@ -12,7 +12,7 @@ import (
 // Link is one network edge between two named topology locations. Each
 // direction has its own (asymmetric) bandwidth, and every traversal charges
 // the link's latency — plus a deterministic, seeded jitter draw — once per
-// chunk batch, exactly like tier latency. LossRate is the per-chunk
+// chunk access, exactly like tier latency. LossRate is the per-chunk
 // probability a chunk must be retransmitted; every draw is a pure hash of
 // (seed, link, task, op, attempt, round, chunk), so replays stay
 // bit-identical.
@@ -21,7 +21,7 @@ type Link struct {
 	Name string
 	// A and B are the two location names the link joins.
 	A, B string
-	// LatencyS is the one-way latency in seconds, charged per chunk batch.
+	// LatencyS is the one-way latency in seconds, charged per chunk access.
 	LatencyS float64
 	// JitterS bounds the extra per-flow latency: each flow adds a seeded
 	// uniform draw in [0, JitterS) on top of LatencyS.
@@ -468,19 +468,19 @@ func (e *Engine) cutByFailFast(hops []hop) *PartitionError {
 	return nil
 }
 
-// linkEffects charges one part's traversal of its route: per-batch latency
+// linkEffects charges one part's traversal of its route: per-access latency
 // plus a seeded jitter draw per link, per-chunk loss retransmissions
 // (seeded, coordinate-hashed, re-drawn per round), and the link byte
 // accounting. It returns the extra bytes the flow must carry and the extra
 // fixed latency it pays.
-func (e *Engine) linkEffects(hops []hop, task string, opIdx, attempt int, bytes, nAcc, batches int64) (extraBytes, extraLat float64) {
+func (e *Engine) linkEffects(hops []hop, task string, opIdx, attempt int, bytes, nAcc int64) (extraBytes, extraLat float64) {
 	for _, h := range hops {
 		l := h.ls.link
 		lat := l.LatencyS
 		if l.JitterS > 0 {
 			lat += l.JitterS * faults.LinkJitter(e.netSeed, l.Name, task, opIdx, attempt)
 		}
-		extraLat += float64(batches) * lat
+		extraLat += float64(nAcc) * lat
 		h.ls.bytes += uint64(bytes)
 		p := l.LossRate
 		if e.faultsOn {

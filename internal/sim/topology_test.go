@@ -91,7 +91,7 @@ func TestLinkBandwidthCap(t *testing.T) {
 	}
 }
 
-// TestLinkLatencyCharged charges the link's one-way latency per chunk batch
+// TestLinkLatencyCharged charges the link's one-way latency per chunk access
 // on top of the tier latency.
 func TestLinkLatencyCharged(t *testing.T) {
 	base, err := runNet(t, netTopology(&Link{Name: "up", A: "edge", B: "hub", LatencyS: 0}),
@@ -112,7 +112,7 @@ func TestLinkLatencyCharged(t *testing.T) {
 
 // TestLinkJitterDeterministic: jitter adds seeded extra latency — two runs
 // with the same seed agree exactly; a different topology seed may differ
-// but stays within [0, JitterS) per batch.
+// but stays within [0, JitterS) per access.
 func TestLinkJitterDeterministic(t *testing.T) {
 	mk := func(seed uint64) *Topology {
 		tp := netTopology(&Link{Name: "up", A: "edge", B: "hub", LatencyS: 0.1, JitterS: 0.2})

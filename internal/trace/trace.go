@@ -36,10 +36,6 @@ type Event struct {
 // Trace is a captured operation stream in completion order.
 type Trace struct {
 	Events []Event
-	// Partial reports the trace was recovered from a journal with a torn
-	// tail (the capturing run was killed): Events is a valid prefix of the
-	// run, not the whole run.
-	Partial bool
 }
 
 // Recorder implements sim.TraceSink.

@@ -112,13 +112,6 @@ func (t *Tier) mustReserve(n int64) {
 	t.used += n
 }
 
-// setUsed rewinds the usage counter to a snapshotted value.
-func (t *Tier) setUsed(n int64) {
-	t.mu.Lock()
-	t.used = n
-	t.mu.Unlock()
-}
-
 // release returns n bytes of capacity.
 func (t *Tier) release(n int64) {
 	t.mu.Lock()
@@ -362,46 +355,6 @@ func (fs *FS) Files() []*File {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// Snapshot captures the file table and per-tier usage so a caller can roll
-// back speculative work — the simulator's parallel path restores it before
-// falling back to a serial re-run when a task group aborts. The registered
-// tier set is assumed stable between Snapshot and Restore.
-type Snapshot struct {
-	files map[string]File
-	used  map[string]int64
-}
-
-// Snapshot returns a point-in-time copy of the filesystem state.
-func (fs *FS) Snapshot() *Snapshot {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	s := &Snapshot{
-		files: make(map[string]File, len(fs.files)),
-		used:  make(map[string]int64, len(fs.tiers)),
-	}
-	for p, f := range fs.files {
-		s.files[p] = *f
-	}
-	for n, t := range fs.tiers {
-		s.used[n] = t.Used()
-	}
-	return s
-}
-
-// Restore rewinds the filesystem to a snapshot taken earlier on the same FS.
-func (fs *FS) Restore(s *Snapshot) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.files = make(map[string]*File, len(s.files))
-	for p, f := range s.files {
-		cp := f
-		fs.files[p] = &cp
-	}
-	for n, t := range fs.tiers {
-		t.setUsed(s.used[n])
-	}
 }
 
 // VisibleFrom reports whether a file on tier t is reachable from the given

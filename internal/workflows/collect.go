@@ -37,7 +37,7 @@ func RunAndCollect(spec *Spec, opts RunOptions) (*dfl.Graph, *sim.Result, error)
 
 // RunCollector is RunAndCollect without the graph-building step: it returns
 // the raw collector, for callers that persist the measurement database
-// (iotrace.SaveJSON) or build the graph in parallel.
+// (iotrace.SaveJSON).
 func RunCollector(spec *Spec, opts RunOptions) (*iotrace.Collector, *sim.Result, error) {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 4
@@ -91,9 +91,6 @@ type StressOptions struct {
 	// Topology, when non-nil, attaches the network topology so flows route
 	// over links.
 	Topology *sim.Topology
-	// Workers sets sim.Engine.Workers (parallel independent-group
-	// execution; ≤1 runs the plain serial loop).
-	Workers int
 }
 
 // RunBare executes a spec with no collector, tracer, or planner attached —
@@ -125,7 +122,7 @@ func RunBare(spec *Spec, opts StressOptions) (*sim.Result, error) {
 	if err := spec.Seed(fs, tier); err != nil {
 		return nil, err
 	}
-	eng := &sim.Engine{FS: fs, Cluster: cl, Faults: opts.Faults, Topology: opts.Topology, Workers: opts.Workers}
+	eng := &sim.Engine{FS: fs, Cluster: cl, Faults: opts.Faults, Topology: opts.Topology}
 	res, err := eng.Run(spec.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("workflows: running %s: %w", spec.Name, err)

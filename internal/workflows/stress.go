@@ -13,8 +13,7 @@ import (
 // time), wide fan-ins (huge ready queues, many concurrent flows on one tier),
 // and seeded random layered DAGs (mixed geometry). All sizes and compute
 // times default to exactly representable (dyadic) values so that results are
-// insensitive to floating-point summation order — the serial-vs-parallel
-// equivalence tests rely on that.
+// insensitive to floating-point summation order.
 
 // ChainParams configures Chain.
 type ChainParams struct {
@@ -124,9 +123,8 @@ func DefaultShardedChainsParams(shards, length int) ShardedChainsParams {
 
 // ShardedChains generates s independent chains, chain k pinned to node
 // "node<k>" with all I/O on that node's local TierKind tier. No file, tier,
-// or node is shared across shards, so the shards form independent components
-// for the simulator's parallel partitioner. Every input is seeded on its
-// shard's local tier via InputFile.Tier.
+// or node is shared across shards. Every input is seeded on its shard's
+// local tier via InputFile.Tier.
 func ShardedChains(p ShardedChainsParams) *Spec {
 	w := &sim.Workload{Name: fmt.Sprintf("stress-shards-%dx%d", p.Shards, p.Length)}
 	spec := &Spec{Name: w.Name, Workload: w}
