@@ -8,6 +8,7 @@
 package datalife
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -598,6 +599,34 @@ func BenchmarkAblation_TraceEmulation(b *testing.B) {
 		b.ReportMetric(s1/s6, "S6-speedup-x")
 	}
 }
+
+// BenchmarkAblation_SavedStateLoad measures the analyze-later path's first
+// step: iotrace.LoadJSON over an in-memory SaveJSON document, the Belle II
+// MC campaign at its default size (240 tasks, 4,080 flows, ≈2.5 MB).
+// b.SetBytes reports the decode rate in MB/s.
+func BenchmarkAblation_SavedStateLoad(b *testing.B) {
+	col, _, err := workflows.RunCollector(workflows.Belle2(workflows.DefaultBelle2()), workflows.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := col.SaveJSON(&doc); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := iotrace.LoadJSON(bytes.NewReader(doc.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		loadedFlows = len(st.Flows)
+	}
+}
+
+// loadedFlows keeps BenchmarkAblation_SavedStateLoad's result live.
+var loadedFlows int
 
 // BenchmarkAblation_DetvetWholeRepo runs the full dflvet suite — all ten
 // analyzers plus the cross-package facts layer — over every package of the

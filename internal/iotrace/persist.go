@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"datalife/internal/blockstats"
 )
@@ -134,13 +135,26 @@ type SavedState struct {
 	Flows  []SavedFlow
 }
 
-// LoadJSON reads a measurement database written by SaveJSON.
+// LoadJSON reads a measurement database written by SaveJSON. It reads r to
+// its end and decodes the first JSON value in one pass (decodeDoc), with
+// encoding/json's acceptance rules and results.
 func LoadJSON(r io.Reader) (*SavedState, error) {
-	var doc persistDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("iotrace: decoding saved state: %w", err)
 	}
-	st := &SavedState{Config: doc.Config}
+	doc, err := decodeDoc(data)
+	if err != nil {
+		return nil, fmt.Errorf("iotrace: decoding saved state: %w", err)
+	}
+	return doc.state(), nil
+}
+
+// state derives the loaded database from a decoded document. Its lists are
+// allocated once, and stay nil when empty.
+func (doc *persistDoc) state() *SavedState {
+	st := &SavedState{Config: doc.Config, Tasks: slices.Grow([]TaskInfo(nil), len(doc.Tasks)),
+		Flows: slices.Grow([]SavedFlow(nil), len(doc.Flows))}
 	for _, pt := range doc.Tasks {
 		st.Tasks = append(st.Tasks, TaskInfo{Name: pt.Name, Start: pt.Start, End: pt.End,
 			started: true, ended: !pt.Incomplete})
@@ -148,7 +162,7 @@ func LoadJSON(r io.Reader) (*SavedState, error) {
 	for i := range doc.Flows {
 		st.Flows = append(st.Flows, doc.Flows[i].summary())
 	}
-	return st, nil
+	return st
 }
 
 // summary derives the graph builder's per-flow metrics from the aggregates,

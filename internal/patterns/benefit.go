@@ -2,7 +2,6 @@ package patterns
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"datalife/internal/dfl"
@@ -108,12 +107,7 @@ func EstimateBenefits(g *dfl.Graph, opps []Opportunity, env ResourceEnvelope) []
 		}
 		out = append(out, Benefit{Opportunity: o, SavedSeconds: saved, Mechanism: how})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SavedSeconds != out[j].SavedSeconds {
-			return out[i].SavedSeconds > out[j].SavedSeconds
-		}
-		return out[i].String() < out[j].String()
-	})
+	rankBy(out, func(b *Benefit) float64 { return b.SavedSeconds }, (*Benefit).String)
 	return out
 }
 

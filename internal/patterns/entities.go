@@ -205,13 +205,34 @@ func Project(g *dfl.Graph, kind EntityKind, metric EdgeMetric) []Entity {
 
 // Rank sorts entities by descending value (ties by name) and returns them.
 func Rank(entities []Entity) []Entity {
-	sort.SliceStable(entities, func(i, j int) bool {
-		if entities[i].Value != entities[j].Value {
-			return entities[i].Value > entities[j].Value
-		}
-		return entities[i].String() < entities[j].String()
-	})
+	rankBy(entities, func(e *Entity) float64 { return e.Value }, (*Entity).String)
 	return entities
+}
+
+// rankBy sorts items in place by descending value, ties by ascending key,
+// with sort.SliceStable. Each value and key is computed once, not once per
+// comparison: keys are rendered strings, which allocate. The sort permutes
+// indices under the comparator the items themselves would get, so the order
+// is the one sorting the items gives.
+func rankBy[T any](items []T, value func(*T) float64, key func(*T) string) {
+	vals := make([]float64, len(items))
+	keys := make([]string, len(items))
+	idx := make([]int, len(items))
+	for i := range items {
+		vals[i], keys[i], idx[i] = value(&items[i]), key(&items[i]), i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		i, j := idx[a], idx[b]
+		if vals[i] != vals[j] {
+			return vals[i] > vals[j]
+		}
+		return keys[i] < keys[j]
+	})
+	ranked := make([]T, len(items))
+	for k, i := range idx {
+		ranked[k] = items[i]
+	}
+	copy(items, ranked)
 }
 
 // RankProducerConsumerByVolume produces the paper's Fig. 2f table: the

@@ -3,7 +3,6 @@ package patterns
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"datalife/internal/cpa"
@@ -191,29 +190,8 @@ func Analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config) []Opportunity {
 	for _, f := range found {
 		out = append(out, f...)
 	}
-	// Rank by (severity desc, rendered string asc). The tie-break key is
-	// rendered once per opportunity, not once per comparison — String()
-	// allocates, and the comparator runs O(n log n) times.
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].String()
-	}
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if out[i].Severity != out[j].Severity {
-			return out[i].Severity > out[j].Severity
-		}
-		return keys[i] < keys[j]
-	})
-	ranked := make([]Opportunity, len(out))
-	for k, i := range idx {
-		ranked[k] = out[i]
-	}
-	return ranked
+	rankBy(out, func(o *Opportunity) float64 { return o.Severity }, (*Opportunity).String)
+	return out
 }
 
 func newOpp(k Kind, sev float64, detail string, mustValidate bool, vs ...dfl.ID) Opportunity {

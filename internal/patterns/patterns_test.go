@@ -2,11 +2,14 @@ package patterns
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"datalife/internal/cpa"
 	"datalife/internal/dfl"
+	"datalife/internal/workflows"
 )
 
 func edge(t *testing.T, g *dfl.Graph, src, dst dfl.ID, kind dfl.EdgeKind, p dfl.FlowProps) *dfl.Edge {
@@ -100,6 +103,73 @@ func TestProjectAndRankProducerConsumer(t *testing.T) {
 	for i := 1; i < len(ranked); i++ {
 		if ranked[i].Value > ranked[i-1].Value {
 			t.Fatal("ranking not sorted")
+		}
+	}
+}
+
+// rankReference sorts with a comparator that renders both entities on every
+// comparison that ties on value: the reference order Rank must match.
+func rankReference(entities []Entity) []Entity {
+	sort.SliceStable(entities, func(i, j int) bool {
+		if entities[i].Value != entities[j].Value {
+			return entities[i].Value > entities[j].Value
+		}
+		return entities[i].String() < entities[j].String()
+	})
+	return entities
+}
+
+// equalVolumes is a graph whose producer-consumer relations all carry the
+// same volume, so their order rests on the rendered-name tie-break alone.
+func equalVolumes(t *testing.T) *dfl.Graph {
+	g := dfl.New()
+	for d := 0; d < 12; d++ {
+		data := dfl.DataID(fmt.Sprintf("d%02d", d))
+		for p := 0; p < 3; p++ {
+			edge(t, g, dfl.TaskID(fmt.Sprintf("p%d-%d", d%4, p)), data, dfl.Producer, dfl.FlowProps{Volume: 64})
+		}
+		for c := 0; c < 5; c++ {
+			edge(t, g, data, dfl.TaskID(fmt.Sprintf("c%d", (d+c)%7)), dfl.Consumer,
+				dfl.FlowProps{Volume: 64 << (c % 2)})
+		}
+	}
+	return g
+}
+
+func TestRankMatchesReference(t *testing.T) {
+	graphs := map[string]*dfl.Graph{"equal volumes": equalVolumes(t)}
+	for _, spec := range []*workflows.Spec{
+		workflows.Genomes(workflows.DefaultGenomes()),
+		workflows.DDMD(workflows.DefaultDDMD(), 0),
+		workflows.Belle2(workflows.DefaultBelle2()),
+		workflows.Montage(workflows.DefaultMontage()),
+		workflows.Seismic(workflows.DefaultSeismic()),
+		workflows.Random(workflows.DefaultRandom(1)),
+	} {
+		g, _, err := workflows.RunAndCollect(spec, workflows.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[spec.Name] = g
+	}
+	if pc := Project(graphs["equal volumes"], ProducerConsumerRelation, VolumeMetric); len(pc) != 180 || pc[0].Value != pc[179].Value {
+		t.Fatalf("equal-volume graph: %d relations, not 180 of one volume", len(pc))
+	}
+	for name, g := range graphs {
+		for _, kind := range []EntityKind{DataEntity, TaskEntity, ProducerRelation, ConsumerRelation, ProducerConsumerRelation} {
+			got := Rank(Project(g, kind, VolumeMetric))
+			if want := rankReference(Project(g, kind, VolumeMetric)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %v entities ranked differently from the reference comparator", name, kind)
+			}
+		}
+		b := EstimateBenefits(g, Analyze(g, nil, Config{}), DefaultEnvelope())
+		if !sort.SliceIsSorted(b, func(i, j int) bool {
+			if b[i].SavedSeconds != b[j].SavedSeconds {
+				return b[i].SavedSeconds > b[j].SavedSeconds
+			}
+			return b[i].String() < b[j].String()
+		}) {
+			t.Errorf("%s: benefits not in the reference comparator's order", name)
 		}
 	}
 }

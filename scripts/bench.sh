@@ -20,7 +20,9 @@
 # (IncrementalIndex/append-query-100k and streaming-build-100000) guard the
 # O(delta) snapshot derivation the live-analysis path depends on. The
 # ServeIngest row guards the streaming service's durable ingest pipeline
-# (wire → journal → apply → ack, fsync excluded).
+# (wire → journal → apply → ack, fsync excluded). SavedStateLoad guards the
+# one-pass saved-state decoder behind `datalife -load`, and DetvetWholeRepo
+# the whole-repository dflvet run, whose cost grows with the codebase.
 # The baseline per row is the median over the newest three snapshots that
 # contain it, not the single newest value: both sides of the comparison are
 # single samples, and gating a fresh sample against one unusually lucky
@@ -102,7 +104,7 @@ for name in 'AnalysisLinearity/chain-10000' 'Advisor' \
     'SimEngine/chain-100k' 'SimEngine/chain-100k-linked' \
     'SimEngine/fan-in-100k' 'SimEngine/faulty-sweep' \
     'IncrementalIndex/append-query-100k' 'IncrementalIndex/streaming-build-100000' \
-    'ServeIngest'; do
+    'ServeIngest' 'SavedStateLoad' 'DetvetWholeRepo'; do
     old="$(median_ns "$name")"
     new="$(ns_for "$out" "$name")"
     if [ -z "$old" ] || [ -z "$new" ]; then
