@@ -500,26 +500,15 @@ func (p *Plan) Report(limit int) string {
 // LocalityScore summarizes the plan: the fraction of total flow volume that
 // stays node-local under the plan (higher is better).
 func (p *Plan) LocalityScore(g *dfl.Graph) float64 {
-	var local, total uint64
-	for _, e := range g.Edges() {
-		total += e.Props.Volume
-		task := e.Src
-		data := e.Dst
-		if task.Kind != dfl.TaskVertex {
-			task, data = data, task
-		}
-		_ = data
-	}
-	if total == 0 {
-		return 0
-	}
 	// A flow is local when the file is NodeLocal/StagedCopy or all accessing
 	// tasks share the file's node.
 	class := make(map[dfl.ID]TierClass, len(p.Placements))
 	for _, fp := range p.Placements {
 		class[fp.File] = fp.Class
 	}
+	var local, total uint64
 	for _, e := range g.Edges() {
+		total += e.Props.Volume
 		data := e.Src
 		if data.Kind != dfl.DataVertex {
 			data = e.Dst
@@ -527,6 +516,9 @@ func (p *Plan) LocalityScore(g *dfl.Graph) float64 {
 		if class[data] != SharedFS {
 			local += e.Props.Volume
 		}
+	}
+	if total == 0 {
+		return 0
 	}
 	return float64(local) / float64(total)
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"datalife/internal/dfl"
 )
@@ -358,12 +359,16 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 			}
 		}
 	}
-	// Dense position order is (kind, name) order, so sorting the int32
-	// positions reproduces the ID sort exactly.
+	// Sort by ID, as Members does: dense positions follow (kind, name) order
+	// only on compacted snapshots, not on overlay slots of fast derivations.
+	// Sorting the positions first leaves the ID sort a presorted run to
+	// confirm on a compacted snapshot.
 	slices.Sort(legs)
 	slices.Sort(ext)
 	c.Legs = idsAt(ix, legs)
 	c.Extended = idsAt(ix, ext)
+	sortIDs(c.Legs)
+	sortIDs(c.Extended)
 	return c
 }
 
@@ -505,11 +510,11 @@ func (c *Caterpillar) IsCaterpillarTree(g *dfl.Graph) bool {
 }
 
 func sortIDs(ids []dfl.ID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Kind != ids[j].Kind {
-			return ids[i].Kind < ids[j].Kind
+	slices.SortFunc(ids, func(a, b dfl.ID) int {
+		if a.Kind != b.Kind {
+			return int(a.Kind) - int(b.Kind)
 		}
-		return ids[i].Name < ids[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 

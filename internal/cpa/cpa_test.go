@@ -1,6 +1,7 @@
 package cpa
 
 import (
+	"slices"
 	"testing"
 
 	"datalife/internal/dfl"
@@ -189,6 +190,58 @@ func TestDFLCaterpillar(t *testing.T) {
 	if len(c.Members()) != c.Size() {
 		t.Fatal("Members length mismatch")
 	}
+}
+
+// TestCaterpillarSortedOnOverlaySnapshot builds the caterpillar on a
+// snapshot derived in O(delta), whose overlay slots follow insertion order
+// rather than canonical order: Legs and Extended must still come out sorted
+// by (kind, name), exactly as on the compacted snapshot of the same graph.
+func TestCaterpillarSortedOnOverlaySnapshot(t *testing.T) {
+	g := dfl.New()
+	add := func(src, dst dfl.ID, kind dfl.EdgeKind) {
+		t.Helper()
+		if _, err := g.AddEdge(src, dst, kind, dfl.FlowProps{Volume: 1, Latency: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0, d0 := dfl.TaskID("t0"), dfl.DataID("d0")
+	tA, tB, tC := dfl.TaskID("tA"), dfl.TaskID("tB"), dfl.TaskID("tC")
+	tP, tQ := dfl.TaskID("tP"), dfl.TaskID("tQ")
+	dY, dZ := dfl.DataID("dY"), dfl.DataID("dZ")
+	add(t0, d0, dfl.Producer)
+	g.Index()
+
+	// One anchored delta hanging off d0, the topological tail. Its vertices
+	// get overlay slots in insertion order: tC, tB, tA, dZ, dY, tQ, tP.
+	add(d0, tC, dfl.Consumer)
+	add(d0, tB, dfl.Consumer)
+	add(d0, tA, dfl.Consumer)
+	add(tA, dZ, dfl.Producer)
+	add(tA, dY, dfl.Producer)
+	add(dZ, tQ, dfl.Consumer)
+	add(dZ, tP, dfl.Consumer)
+	add(tQ, dY, dfl.Producer)
+	add(tP, dY, dfl.Producer)
+	fast := g.IndexStats().Fast
+	g.Index()
+	if g.IndexStats().Fast != fast+1 {
+		t.Fatalf("the delta must take the fast path: %+v", g.IndexStats())
+	}
+
+	spine := Path{Vertices: []dfl.ID{t0, d0, tA}}
+	wantLegs := []dfl.ID{tB, tC, dY, dZ}
+	wantExt := []dfl.ID{tP, tQ}
+	check := func(when string) {
+		t.Helper()
+		c := DFLCaterpillar(g, spine)
+		if !slices.Equal(c.Legs, wantLegs) || !slices.Equal(c.Extended, wantExt) {
+			t.Fatalf("%s: Legs %v Extended %v, want %v and %v",
+				when, c.Legs, c.Extended, wantLegs, wantExt)
+		}
+	}
+	check("overlay snapshot")
+	g.Invalidate()
+	check("compacted snapshot")
 }
 
 func TestCaterpillarSubgraph(t *testing.T) {

@@ -1,0 +1,265 @@
+package dfl
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// buildIndexReference is the sort-based rebuild that counting-pass
+// compaction replaced, kept as its test oracle: IDs comparison-sorted, CSR
+// adjacency walked per vertex through the ID-keyed accessors, edges
+// stable-sorted by (src, dst) through Pos lookups (so duplicate endpoints
+// keep insertion order), and each neighbor set sorted per data vertex.
+func buildIndexReference(g *Graph) *Index {
+	n := g.NumVertices()
+	ix := &Index{
+		ids:       make([]ID, 0, n),
+		pos:       make(map[ID]int32, n),
+		canonical: true,
+	}
+	for id := range g.slots {
+		ix.ids = append(ix.ids, id)
+	}
+	slices.SortFunc(ix.ids, cmpID)
+	ix.verts = make([]*Vertex, n)
+	for i, id := range ix.ids {
+		ix.pos[id] = int32(i)
+		ix.verts[i] = g.Vertex(id)
+		if id.Kind == TaskVertex {
+			ix.nTasks = i + 1
+		}
+	}
+	ix.baseN = int32(n)
+	ix.n = n
+	ix.nTasksAll = ix.nTasks
+
+	m := g.NumEdges()
+	ix.mEdges = m
+	ix.outOff = make([]int32, n+1)
+	ix.inOff = make([]int32, n+1)
+	ix.outEdges = make([]*Edge, 0, m)
+	ix.inEdges = make([]*Edge, 0, m)
+	ix.outDst = make([]int32, 0, m)
+	ix.inSrc = make([]int32, 0, m)
+	for i, id := range ix.ids {
+		for _, e := range g.Out(id) {
+			ix.outEdges = append(ix.outEdges, e)
+			ix.outDst = append(ix.outDst, ix.pos[e.Dst])
+		}
+		ix.outOff[i+1] = int32(len(ix.outEdges))
+		for _, e := range g.In(id) {
+			ix.inEdges = append(ix.inEdges, e)
+			ix.inSrc = append(ix.inSrc, ix.pos[e.Src])
+		}
+		ix.inOff[i+1] = int32(len(ix.inEdges))
+	}
+
+	ix.edges = slices.Clone(g.edges)
+	slices.SortStableFunc(ix.edges, func(a, b *Edge) int {
+		if c := ix.pos[a.Src] - ix.pos[b.Src]; c != 0 {
+			return int(c)
+		}
+		return int(ix.pos[a.Dst] - ix.pos[b.Dst])
+	})
+
+	for _, e := range g.edges {
+		ix.totalVolume += e.Props.Volume
+		if r := e.Props.Rate(); r > ix.bestRate {
+			ix.bestRate = r
+		}
+	}
+	ix.buildTopo()
+
+	ix.nbrOff = []int32{0}
+	for i := ix.nTasks; i < n; i++ {
+		peerSets := [][]int32{
+			ix.inSrc[ix.inOff[i]:ix.inOff[i+1]],
+			ix.outDst[ix.outOff[i]:ix.outOff[i+1]],
+		}
+		for _, peers := range peerSets {
+			set := slices.Clone(peers)
+			slices.Sort(set)
+			for _, p := range slices.Compact(set) {
+				ix.nbrs = append(ix.nbrs, ix.ids[p])
+			}
+			ix.nbrOff = append(ix.nbrOff, int32(len(ix.nbrs)))
+		}
+	}
+	return ix
+}
+
+// assertCompactionMatchesReference deep-compares a compacted snapshot with
+// the reference rebuild of the same graph, field by field.
+func assertCompactionMatchesReference(t *testing.T, g *Graph, ix *Index) {
+	t.Helper()
+	ref := buildIndexReference(g)
+	if !ix.canonical || ref.canonical != ix.canonical {
+		t.Fatal("a compacted snapshot must be canonical")
+	}
+	if ix.n != ref.n || ix.baseN != ref.baseN || ix.nTasks != ref.nTasks ||
+		ix.nTasksAll != ref.nTasksAll || ix.mEdges != ref.mEdges {
+		t.Fatalf("sizes: n %d/%d baseN %d/%d tasks %d/%d all %d/%d edges %d/%d",
+			ix.n, ref.n, ix.baseN, ref.baseN, ix.nTasks, ref.nTasks,
+			ix.nTasksAll, ref.nTasksAll, ix.mEdges, ref.mEdges)
+	}
+	same := func(what string, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("%s differs from the reference rebuild", what)
+		}
+	}
+	same("ids", slices.Equal(ix.ids, ref.ids))
+	same("verts", slices.Equal(ix.verts, ref.verts))
+	same("Pos table", maps.Equal(ix.pos, ref.pos))
+	same("outOff", slices.Equal(ix.outOff, ref.outOff))
+	same("inOff", slices.Equal(ix.inOff, ref.inOff))
+	same("outEdges", slices.Equal(ix.outEdges, ref.outEdges))
+	same("inEdges", slices.Equal(ix.inEdges, ref.inEdges))
+	same("outDst", slices.Equal(ix.outDst, ref.outDst))
+	same("inSrc", slices.Equal(ix.inSrc, ref.inSrc))
+	same("canonical edges", slices.Equal(ix.edges, ref.edges))
+	same("topo", slices.Equal(ix.topo, ref.topo))
+	same("topoIDs", slices.Equal(ix.topoIDs, ref.topoIDs))
+	if (ix.topoErr == nil) != (ref.topoErr == nil) ||
+		(ix.topoErr != nil && ix.topoErr.Error() != ref.topoErr.Error()) {
+		t.Fatalf("cycle error: compaction %v, reference %v", ix.topoErr, ref.topoErr)
+	}
+	same("neighbor offsets", slices.Equal(ix.nbrOff, ref.nbrOff))
+	same("neighbor sets", slices.Equal(ix.nbrs, ref.nbrs))
+	for p := int32(ix.nTasks); p < int32(ix.n); p++ {
+		same("producers", slices.Equal(ix.producersFor(p), ref.producersFor(p)))
+		same("consumers", slices.Equal(ix.consumersFor(p), ref.consumersFor(p)))
+	}
+	if ix.totalVolume != ref.totalVolume || ix.bestRate != ref.bestRate {
+		t.Fatalf("totals: volume %d/%d best rate %g/%g",
+			ix.totalVolume, ref.totalVolume, ix.bestRate, ref.bestRate)
+	}
+	if ix.Fingerprint() != ref.Fingerprint() {
+		t.Fatalf("fingerprint: compaction %#x, reference %#x", ix.Fingerprint(), ref.Fingerprint())
+	}
+}
+
+// TestCompactionMatchesReference grows seeded layered DAGs across several
+// compactions interleaved with fast derivations — duplicate endpoints, a
+// cycle, property edits and Invalidate included — and after every
+// compaction checks the counting-pass rebuild against the sort-based
+// reference on every field of the snapshot.
+func TestCompactionMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			g := New()
+			var tasks, data []ID
+			vol := func() FlowProps {
+				return FlowProps{Volume: uint64(1 + rng.Intn(1000)), Latency: float64(1+rng.Intn(8)) / 2}
+			}
+			query := func() {
+				t.Helper()
+				before := g.IndexStats().Compactions
+				ix := g.Index()
+				if g.IndexStats().Compactions > before {
+					assertCompactionMatchesReference(t, g, ix)
+				} else {
+					assertSnapshotEquivalent(t, g)
+				}
+			}
+			for layer := 0; layer < 6; layer++ {
+				// A layer of tasks reading earlier data and writing new data;
+				// names are drawn at random so new vertices land all over the
+				// previous canonical order.
+				for i := 0; i < 3+rng.Intn(6); i++ {
+					tk := TaskID(fmt.Sprintf("t%03d", rng.Intn(1000)))
+					if g.Vertex(tk) != nil {
+						continue
+					}
+					g.AddTask(tk.Name)
+					for r := 0; r < rng.Intn(3) && len(data) > 0; r++ {
+						d := data[rng.Intn(len(data))]
+						if g.FindEdge(d, tk) == nil {
+							_, _ = g.AddEdge(d, tk, Consumer, vol())
+						}
+					}
+					d := DataID(fmt.Sprintf("d%03d", rng.Intn(1000)))
+					if g.Vertex(d) == nil {
+						g.AddData(d.Name)
+						data = append(data, d)
+					}
+					if g.FindEdge(tk, d) == nil {
+						_, _ = g.AddEdge(tk, d, Producer, vol())
+					}
+					tasks = append(tasks, tk)
+				}
+				// Duplicate endpoints: a second, unchecked edge between an
+				// existing pair keeps its insertion order after the first.
+				if rng.Intn(2) == 0 && len(data) > 0 {
+					d := data[rng.Intn(len(data))]
+					for _, e := range g.In(d) {
+						g.AddUncheckedEdge(e.Src, e.Dst, e.Kind, vol())
+						break
+					}
+				}
+				query()
+
+				// Frontier growth off the topological tail: fast derivations.
+				for step := 0; step < 3; step++ {
+					order, err := g.TopoSort()
+					if err != nil || len(order) == 0 {
+						break
+					}
+					a := order[len(order)-1]
+					name := fmt.Sprintf("f%d_%d", layer, step)
+					if a.Kind == TaskVertex {
+						_, _ = g.AddEdge(a, g.AddData(name).ID, Producer, vol())
+					} else {
+						_, _ = g.AddEdge(a, g.AddTask(name).ID, Consumer, vol())
+					}
+					query()
+				}
+
+				// Property edits through the tracked delta path.
+				if len(tasks) > 0 {
+					tk := tasks[rng.Intn(len(tasks))]
+					p := g.Vertex(tk).Task
+					p.Lifetime += 1.5
+					g.SetTaskProps(tk.Name, p)
+				}
+				if len(data) > 0 {
+					d := data[rng.Intn(len(data))]
+					p := g.Vertex(d).Data
+					p.Size += 64
+					g.SetDataProps(d.Name, p)
+					for _, e := range g.In(d) {
+						g.SetEdgeProps(e.Src, e.Dst, vol())
+						break
+					}
+				}
+				query()
+
+				switch layer {
+				case 2:
+					// Untracked in-place edit plus the Invalidate escape hatch.
+					if es := g.Edges(); len(es) > 0 {
+						g.FindEdge(es[0].Src, es[0].Dst).Props.Ops += 5
+						g.Invalidate()
+						query()
+					}
+				case 4:
+					// Close a cycle: the oldest task reads its own output.
+					tk := tasks[0]
+					_, _ = g.AddEdge(g.Out(tk)[0].Dst, tk, Consumer, vol())
+					query()
+				}
+			}
+			st := g.IndexStats()
+			if st.Compactions < 3 || st.Fast == 0 {
+				t.Fatalf("trace did not interleave ≥3 compactions with fast derivations: %+v", st)
+			}
+			if _, err := g.TopoSort(); err == nil {
+				t.Fatal("the closed cycle must be reported")
+			}
+		})
+	}
+}

@@ -19,31 +19,19 @@ const (
 	minExtraCap      = 64
 )
 
-// pending is the mutation delta accumulated by AddEdge/ensure/SetEdgeProps/
-// SetTaskProps/SetDataProps since the last snapshot derivation.
+// pending is the property-edit part of the mutation delta accumulated since
+// the last snapshot derivation. The structural part needs no record:
+// vertices and edges are only ever appended, so the delta's new vertices are
+// the slots past the previous snapshot's vertex count and its new edges the
+// g.edges indices past its edge count, each read at its final value.
 type pending struct {
-	newVerts []*Vertex
-	// newVertPos maps vertex IDs to their newVerts index. Built lazily on the
-	// first property edit since the last derivation (so pure streaming builds
-	// never pay for it), then maintained by ensure.
-	newVertPos map[ID]int32
-	// newEdges holds indices into g.edges (not pointers): an edge appended
-	// and then edited within the same delta must surface its final pointer.
-	newEdges []int32
 	// editOld maps a g.edges index to the pointer the previous snapshot saw
 	// (recorded on the first SetEdgeProps for that edge since the last
 	// derivation).
 	editOld map[int32]*Edge
-	// editVertOld maps a vertex ID to the pointer the previous snapshot saw
-	// (first SetTaskProps/SetDataProps since the last derivation). Vertices
-	// added within the same delta are swapped in newVerts instead and never
-	// appear here.
-	editVertOld map[ID]*Vertex
-}
-
-func (p *pending) empty() bool {
-	return len(p.newVerts) == 0 && len(p.newEdges) == 0 &&
-		len(p.editOld) == 0 && len(p.editVertOld) == 0
+	// editVertOld maps a vertex slot to the pointer the previous snapshot saw
+	// (first SetTaskProps/SetDataProps since the last derivation).
+	editVertOld map[int32]*Vertex
 }
 
 // epoch is the shared overlay state between two compactions. Its arrays are
@@ -65,10 +53,10 @@ type epoch struct {
 	// first-append pointer), so cumulative edit maps key correctly across
 	// repeated edits.
 	origPtr map[int32]*Edge
-	// origVertPtr is the vertex analogue of origPtr: per edited vertex ID,
+	// origVertPtr is the vertex analogue of origPtr: per edited vertex slot,
 	// the pointer physically stored in the epoch's shared verts/extraVerts
 	// arrays, keying the cumulative editedVerts map across repeated edits.
-	origVertPtr map[ID]*Vertex
+	origVertPtr map[int32]*Vertex
 }
 
 // adjHalf is one direction of an overlay slot's adjacency. The three slices
@@ -152,7 +140,8 @@ func (g *Graph) derive() *Index {
 	pend := g.pend
 	g.pend = pending{}
 
-	if prev != nil && !force && pend.empty() {
+	if prev != nil && !force && prev.n == len(g.verts) && prev.mEdges == len(g.edges) &&
+		len(pend.editOld) == 0 && len(pend.editVertOld) == 0 {
 		return prev
 	}
 	g.stats.Derivations++
@@ -177,22 +166,17 @@ func (g *Graph) compact(prev *Index, pend pending) *Index {
 	ix := buildIndex(g)
 	if prev != nil && prev.fpReady.Load() {
 		vs, es := prev.vertSum, prev.edgeSum
-		for _, v := range pend.newVerts {
+		for _, v := range g.verts[prev.n:] {
 			vs += vertexHash(v)
 		}
-		for _, ei := range pend.newEdges {
-			es += edgeHash(g.edges[ei])
+		for _, e := range g.edges[prev.mEdges:] {
+			es += edgeHash(e)
 		}
-		for _, i := range sortedEditKeys(pend.editOld) {
-			if int(i) >= prev.mEdges {
-				continue // added this delta; counted above at its final value
-			}
+		for _, i := range sortedKeys(pend.editOld) {
 			es += edgeHash(g.edges[i]) - edgeHash(pend.editOld[i])
 		}
-		for _, id := range sortedVertEditKeys(pend.editVertOld) {
-			// Vertices added this delta never appear here: their pending
-			// entry is swapped in place and counted above at its final value.
-			vs += vertexHash(g.vertices[id]) - vertexHash(pend.editVertOld[id])
+		for _, s := range sortedKeys(pend.editVertOld) {
+			vs += vertexHash(g.verts[s]) - vertexHash(pend.editVertOld[s])
 		}
 		ix.vertSum, ix.edgeSum = vs, es
 		ix.fp = combineFingerprint(ix.n, ix.mEdges, vs, es)
@@ -221,13 +205,15 @@ func (g *Graph) compact(prev *Index, pend pending) *Index {
 // canonical dense sort of a full rebuild).
 func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 	ep := g.ep
-	structural := len(pend.newVerts) > 0 || len(pend.newEdges) > 0
+	baseN := prev.baseN
+	prevN := int32(prev.n)
+	newVerts := g.verts[prevN:]
+	newEnds := g.ends[prev.mEdges:]
+	k := len(newVerts)
+	structural := k > 0 || len(newEnds) > 0
 	if structural && prev.topoErr != nil {
 		return nil
 	}
-	baseN := prev.baseN
-	prevN := int32(prev.n)
-	k := len(pend.newVerts)
 
 	if prev.n-int(baseN)+k > max(minExtraCap, int(baseN)) {
 		return nil
@@ -237,17 +223,14 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		return nil
 	}
 
-	// Classify edits: only edges that existed in the previous snapshot count;
+	// Classify edits. Only edges the previous snapshot saw are recorded;
 	// edges added this delta already surface their final pointer everywhere.
 	type editRec struct {
 		i    int32
 		o, c *Edge
 	}
 	var edits []editRec
-	for _, i := range sortedEditKeys(pend.editOld) {
-		if int(i) >= prev.mEdges {
-			continue
-		}
+	for _, i := range sortedKeys(pend.editOld) {
 		o := pend.editOld[i]
 		c := g.edges[i]
 		if c == o {
@@ -262,40 +245,34 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 	}
 
 	// Classify vertex property edits. They are non-structural: adjacency,
-	// topological order, and edge aggregates reference vertices by ID, so a
+	// topological order, and edge aggregates reference vertices by slot, so a
 	// copy-on-write pointer replacement is the whole change.
 	type vertEditRec struct {
-		id   ID
+		s    int32
 		o, c *Vertex
 	}
 	var vertEdits []vertEditRec
-	for _, id := range sortedVertEditKeys(pend.editVertOld) {
-		o := pend.editVertOld[id]
-		c := g.vertices[id]
+	for _, s := range sortedKeys(pend.editVertOld) {
+		o := pend.editVertOld[s]
+		c := g.verts[s]
 		if c == o {
 			continue
 		}
-		vertEdits = append(vertEdits, vertEditRec{id, o, c})
+		vertEdits = append(vertEdits, vertEditRec{s, o, c})
 	}
 
-	var newLocal map[ID]int32
-	if k > 0 {
-		newLocal = make(map[ID]int32, k)
-		for j, v := range pend.newVerts {
-			newLocal[v.ID] = int32(j)
+	// slotOf maps a graph slot to its snapshot slot: base vertices sit at
+	// their canonical position from the epoch's compaction, overlay vertices
+	// keep their insertion slot (they are appended in insertion order).
+	slotOf := func(s int32) int32 {
+		if s < baseN {
+			return g.rank[s]
 		}
-	}
-	slotOf := func(id ID) int32 {
-		if p, ok := prev.pos[id]; ok {
-			return p
-		}
-		if v, ok := ep.posExtra.Load(id); ok {
-			return v.(int32)
-		}
-		return prevN + newLocal[id]
+		return s
 	}
 
-	// Topological feasibility (structural deltas only).
+	// Topological feasibility (structural deltas only). New vertices are
+	// numbered locally by slot-prevN.
 	var (
 		newIndeg []int32
 		newOut   [][]int32
@@ -304,20 +281,20 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		if prevN == 0 {
 			return nil
 		}
-		anchor := prev.topoIDs[prevN-1]
+		anchor := prev.topo[prevN-1]
 		anchorSeed := make([]bool, k)
 		newIndeg = make([]int32, k)
 		newOut = make([][]int32, k)
-		for _, ei := range pend.newEdges {
-			e := g.edges[ei]
-			dj, ok := newLocal[e.Dst]
-			if !ok {
+		for _, p := range newEnds {
+			if p.dst < prevN {
 				return nil // edge into a pre-existing vertex: old indegrees change
 			}
-			if sj, ok := newLocal[e.Src]; ok {
+			dj := p.dst - prevN
+			if p.src >= prevN {
+				sj := p.src - prevN
 				newOut[sj] = append(newOut[sj], dj)
 				newIndeg[dj]++
-			} else if e.Src == anchor {
+			} else if slotOf(p.src) == anchor {
 				anchorSeed[dj] = true
 			}
 		}
@@ -350,15 +327,15 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 	// base or already-overlaid slots gaining new edges.
 	needTouch := make(map[int32]bool)
 	for _, er := range edits {
-		needTouch[slotOf(er.o.Src)] = true
-		needTouch[slotOf(er.o.Dst)] = true
+		p := g.ends[er.i]
+		needTouch[slotOf(p.src)] = true
+		needTouch[slotOf(p.dst)] = true
 	}
-	for _, ei := range pend.newEdges {
-		e := g.edges[ei]
-		if s := slotOf(e.Src); s < baseN || prev.touched[s] != nil {
+	for _, p := range newEnds {
+		if s := slotOf(p.src); s < baseN || prev.touched[s] != nil {
 			needTouch[s] = true
 		}
-		// e.Dst is always a new vertex here (checked above): its fresh
+		// p.dst is always a new vertex here (checked above): its fresh
 		// shared adjacency absorbs appends without an overlay.
 	}
 	touchSlots := make([]int32, 0, len(needTouch))
@@ -377,7 +354,7 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 			totalOv += prev.OutDegree(s) + prev.InDegree(s)
 		}
 	}
-	if touchedCount > maxTouchedSlots || totalOv+2*len(pend.newEdges) > maxTouchedEdges {
+	if touchedCount > maxTouchedSlots || totalOv+2*len(newEnds) > maxTouchedEdges {
 		return nil
 	}
 
@@ -385,7 +362,7 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 
 	// 1. Assign overlay slots to new vertices.
 	nTasksAll := prev.nTasksAll
-	for _, v := range pend.newVerts {
+	for _, v := range newVerts {
 		slot := baseN + int32(len(ep.extraIDs))
 		ep.extraIDs = append(ep.extraIDs, v.ID)
 		ep.extraVerts = append(ep.extraVerts, v)
@@ -425,8 +402,9 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 				ep.origPtr[er.i] = ap
 			}
 			edited[ap] = er.c
-			swapEdge(touched[slotOf(er.o.Src)].outE, er.o, er.c)
-			swapEdge(touched[slotOf(er.o.Dst)].inE, er.o, er.c)
+			p := g.ends[er.i]
+			swapEdge(touched[slotOf(p.src)].outE, er.o, er.c)
+			swapEdge(touched[slotOf(p.dst)].inE, er.o, er.c)
 		}
 	}
 
@@ -440,13 +418,13 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 			editedVerts[o] = c
 		}
 		if ep.origVertPtr == nil {
-			ep.origVertPtr = make(map[ID]*Vertex)
+			ep.origVertPtr = make(map[int32]*Vertex)
 		}
 		for _, er := range vertEdits {
-			ap, ok := ep.origVertPtr[er.id]
+			ap, ok := ep.origVertPtr[er.s]
 			if !ok {
 				ap = er.o
-				ep.origVertPtr[er.id] = ap
+				ep.origVertPtr[er.s] = ap
 			}
 			editedVerts[ap] = er.c
 		}
@@ -454,11 +432,11 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 
 	// 4. Append new edges: overlaid slots grow their private lists, fresh
 	// overlay slots grow the shared seq-marked halves.
-	for _, ei := range pend.newEdges {
-		e := g.edges[ei]
+	for j, p := range newEnds {
+		e := g.edges[prev.mEdges+j]
 		seq := int32(len(ep.extraEdges))
 		ep.extraEdges = append(ep.extraEdges, e)
-		s, d := slotOf(e.Src), slotOf(e.Dst)
+		s, d := slotOf(p.src), slotOf(p.dst)
 		if ov := touched[s]; ov != nil {
 			ov.outE = append(ov.outE, e)
 			ov.outD = append(ov.outD, d)
@@ -483,14 +461,14 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 	if !structural {
 		topo, topoIDs, topoErr = prev.topo, prev.topoIDs, prev.topoErr
 	} else {
-		suffix := topoSuffix(pend.newVerts, newIndeg, newOut)
+		suffix := topoSuffix(newVerts, newIndeg, newOut)
 		if len(suffix) < k {
 			topoErr = fmt.Errorf("dfl: graph has a cycle (%d of %d vertices ordered)",
 				prev.n+len(suffix), n)
 		} else {
 			for _, j := range suffix {
 				ep.topoSlots = append(ep.topoSlots, prevN+j)
-				ep.topoIDs = append(ep.topoIDs, pend.newVerts[j].ID)
+				ep.topoIDs = append(ep.topoIDs, newVerts[j].ID)
 			}
 			topo = ep.topoSlots[:n]
 			topoIDs = ep.topoIDs[:n]
@@ -500,8 +478,7 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 	// 6. Aggregates.
 	totalVolume := prev.totalVolume
 	bestRate := prev.bestRate
-	for _, ei := range pend.newEdges {
-		e := g.edges[ei]
+	for _, e := range g.edges[prev.mEdges:] {
 		totalVolume += e.Props.Volume
 		if r := e.Props.Rate(); r > bestRate {
 			bestRate = r
@@ -549,19 +526,19 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 
 		totalVolume: totalVolume,
 		bestRate:    bestRate,
-		prod:        prev.prod,
-		cons:        prev.cons,
+		nbrs:        prev.nbrs,
+		nbrOff:      prev.nbrOff,
 	}
 
 	// 7. Fingerprint sums carried in O(delta) when the previous snapshot
 	// computed them; otherwise left lazy.
 	if prev.fpReady.Load() {
 		vs, es := prev.vertSum, prev.edgeSum
-		for _, v := range pend.newVerts {
+		for _, v := range newVerts {
 			vs += vertexHash(v)
 		}
-		for _, ei := range pend.newEdges {
-			es += edgeHash(g.edges[ei])
+		for _, e := range g.edges[prev.mEdges:] {
+			es += edgeHash(e)
 		}
 		for _, er := range edits {
 			es += edgeHash(er.c) - edgeHash(er.o)
@@ -621,26 +598,15 @@ func materializeOverlay(prev *Index, s int32, existing *slotOverlay) *slotOverla
 	return ov
 }
 
-// sortedEditKeys returns the edited edge indices in ascending order so edit
+// sortedKeys returns the keys of an edit map in ascending order so edit
 // replay is deterministic by construction rather than by a commutativity
 // argument over map iteration order.
-func sortedEditKeys(m map[int32]*Edge) []int32 {
+func sortedKeys[V any](m map[int32]V) []int32 {
 	keys := make([]int32, 0, len(m))
 	for i := range m {
 		keys = append(keys, i)
 	}
 	slices.Sort(keys)
-	return keys
-}
-
-// sortedVertEditKeys is the vertex analogue of sortedEditKeys: edited vertex
-// IDs in canonical order for deterministic replay.
-func sortedVertEditKeys(m map[ID]*Vertex) []ID {
-	keys := make([]ID, 0, len(m))
-	for id := range m {
-		keys = append(keys, id)
-	}
-	slices.SortFunc(keys, cmpID)
 	return keys
 }
 

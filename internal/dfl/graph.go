@@ -165,12 +165,18 @@ func (e *Edge) Other(id ID) ID {
 	return e.Src
 }
 
-// edgeKey names an edge by its endpoints for the first-match lookup table.
-type edgeKey struct{ src, dst ID }
+// slotPair names an edge by its endpoint slots: the per-edge record of
+// Graph.ends and the key of the first-match lookup table.
+type slotPair struct{ src, dst int32 }
 
 // Graph is a DFL graph: a property graph over task and data vertices. A
 // DFL-DAG (one vertex per task instance) is acyclic by construction; a DFL-T
 // (template) may contain cycles.
+//
+// Each vertex is interned once into an insertion slot: the slot map is the
+// only ID-keyed table, and vertex pointers, adjacency and per-edge endpoint
+// slots live in slot-indexed slices, so adding an edge hashes each endpoint
+// once and compaction resolves no ID per edge.
 //
 // Queries that need sorted snapshots or whole-graph aggregates (Vertices,
 // Edges, TopoSort, TotalVolume, BestRate, Producers/Consumers, ...) are
@@ -186,14 +192,24 @@ type edgeKey struct{ src, dst ID }
 // Mutation itself is single-writer: do not mutate concurrently with other
 // mutations or with calls that may derive a snapshot.
 type Graph struct {
-	vertices map[ID]*Vertex
-	out      map[ID][]*Edge
-	in       map[ID][]*Edge
-	edges    []*Edge
+	slots map[ID]int32 // vertex ID → insertion slot
+	verts []*Vertex    // by slot
+	out   [][]*Edge    // by slot, insertion order
+	in    [][]*Edge    // by slot, insertion order
+	edges []*Edge
+	ends  []slotPair // endpoint slots of edges[i]
 
-	// edgeAt maps endpoints to the first matching g.edges index (FindEdge
-	// semantics). Built lazily on the first SetEdgeProps, then maintained.
-	edgeAt map[edgeKey]int32
+	// edgeAt maps endpoint slots to the first matching g.edges index
+	// (FindEdge semantics). Built lazily on the first SetEdgeProps, then
+	// maintained.
+	edgeAt map[slotPair]int32
+
+	// order lists the slots in canonical (kind, name) order as of the last
+	// compaction, and rank maps each of those slots to its position in it.
+	// Compaction merges the slots added since into order, so the first build
+	// is the same code with an empty previous order. No snapshot aliases
+	// either slice.
+	order, rank []int32
 
 	pend  pending
 	ep    *epoch
@@ -207,40 +223,50 @@ type Graph struct {
 
 // New creates an empty graph.
 func New() *Graph {
-	return &Graph{
-		vertices: make(map[ID]*Vertex),
-		out:      make(map[ID][]*Edge),
-		in:       make(map[ID][]*Edge),
-	}
+	return &Graph{slots: make(map[ID]int32)}
 }
 
 // AddTask ensures a task vertex exists and returns it.
-func (g *Graph) AddTask(name string) *Vertex { return g.ensure(TaskID(name)) }
+func (g *Graph) AddTask(name string) *Vertex { return g.verts[g.ensure(TaskID(name))] }
 
 // AddData ensures a data vertex exists and returns it.
-func (g *Graph) AddData(name string) *Vertex { return g.ensure(DataID(name)) }
+func (g *Graph) AddData(name string) *Vertex { return g.verts[g.ensure(DataID(name))] }
 
-func (g *Graph) ensure(id ID) *Vertex {
-	v := g.vertices[id]
-	if v == nil {
-		v = &Vertex{ID: id}
-		if id.Kind == TaskVertex {
-			v.Task.Instances = 1
-		} else {
-			v.Data.Instances = 1
-		}
-		g.vertices[id] = v
-		g.pend.newVerts = append(g.pend.newVerts, v)
-		if g.pend.newVertPos != nil {
-			g.pend.newVertPos[id] = int32(len(g.pend.newVerts) - 1)
-		}
-		g.dirty.Store(true)
+// ensure interns id, creating its vertex on first sight, and returns its slot.
+func (g *Graph) ensure(id ID) int32 {
+	if s, ok := g.slots[id]; ok {
+		return s
 	}
-	return v
+	v := &Vertex{ID: id}
+	if id.Kind == TaskVertex {
+		v.Task.Instances = 1
+	} else {
+		v.Data.Instances = 1
+	}
+	s := int32(len(g.verts))
+	g.slots[id] = s
+	g.verts = append(g.verts, v)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	g.dirty.Store(true)
+	return s
+}
+
+// slot returns the slot of id, or -1.
+func (g *Graph) slot(id ID) int32 {
+	if s, ok := g.slots[id]; ok {
+		return s
+	}
+	return -1
 }
 
 // Vertex returns the vertex with the given ID, or nil.
-func (g *Graph) Vertex(id ID) *Vertex { return g.vertices[id] }
+func (g *Graph) Vertex(id ID) *Vertex {
+	if s := g.slot(id); s >= 0 {
+		return g.verts[s]
+	}
+	return nil
+}
 
 // AddEdge inserts a flow edge after validating that it connects a task and a
 // data vertex in the direction implied by its kind (§4.1's edge set E).
@@ -257,31 +283,40 @@ func (g *Graph) AddEdge(src, dst ID, kind EdgeKind, props FlowProps) (*Edge, err
 	default:
 		return nil, fmt.Errorf("dfl: unknown edge kind %d", kind)
 	}
-	g.ensure(src)
-	g.ensure(dst)
+	return g.appendEdge(src, dst, kind, props), nil
+}
+
+// appendEdge interns the endpoints, links a new edge into the adjacency
+// structures and leaves it for the next derivation to pick up (shared by
+// AddEdge and AddUncheckedEdge).
+func (g *Graph) appendEdge(src, dst ID, kind EdgeKind, props FlowProps) *Edge {
+	s, d := g.ensure(src), g.ensure(dst)
 	e := &Edge{Src: src, Dst: dst, Kind: kind, Props: props}
 	if e.Props.Samples == 0 {
 		e.Props.Samples = 1
 	}
-	g.appendEdge(e)
-	return e, nil
-}
-
-// appendEdge links e into the adjacency structures and records it in the
-// pending delta (shared by AddEdge and AddUncheckedEdge).
-func (g *Graph) appendEdge(e *Edge) {
 	i := int32(len(g.edges))
 	g.edges = append(g.edges, e)
-	g.out[e.Src] = append(g.out[e.Src], e)
-	g.in[e.Dst] = append(g.in[e.Dst], e)
+	g.ends = append(g.ends, slotPair{s, d})
+	g.out[s] = append(g.out[s], e)
+	g.in[d] = append(g.in[d], e)
 	if g.edgeAt != nil {
-		k := edgeKey{e.Src, e.Dst}
+		k := slotPair{s, d}
 		if _, ok := g.edgeAt[k]; !ok {
 			g.edgeAt[k] = i
 		}
 	}
-	g.pend.newEdges = append(g.pend.newEdges, i)
 	g.dirty.Store(true)
+	return e
+}
+
+// derived returns the vertex and edge counts of the latest snapshot: slots
+// and edge indices at or past them are new in the pending delta.
+func (g *Graph) derived() (verts, edges int) {
+	if ix := g.idx.Load(); ix != nil {
+		return ix.n, ix.mEdges
+	}
+	return 0, 0
 }
 
 // SetEdgeProps replaces the properties of the edge src→dst (the same edge
@@ -291,7 +326,11 @@ func (g *Graph) appendEdge(e *Edge) {
 // snapshots keep reading the old edge value. Returns false when no such edge
 // exists.
 func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
-	i := g.edgeIndex(src, dst)
+	s, d := g.slot(src), g.slot(dst)
+	if s < 0 || d < 0 {
+		return false
+	}
+	i := g.edgeIndex(s, d)
 	if i < 0 {
 		return false
 	}
@@ -301,13 +340,17 @@ func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
 	}
 	ne := &Edge{Src: old.Src, Dst: old.Dst, Kind: old.Kind, Props: props}
 	g.edges[i] = ne
-	swapEdge(g.out[src], old, ne)
-	swapEdge(g.in[dst], old, ne)
-	if g.pend.editOld == nil {
-		g.pend.editOld = make(map[int32]*Edge)
-	}
-	if _, ok := g.pend.editOld[i]; !ok {
-		g.pend.editOld[i] = old
+	swapEdge(g.out[s], old, ne)
+	swapEdge(g.in[d], old, ne)
+	// An edge added since the last derivation surfaces its final pointer
+	// everywhere; only edges the previous snapshot saw need an edit record.
+	if _, seen := g.derived(); int(i) < seen {
+		if g.pend.editOld == nil {
+			g.pend.editOld = make(map[int32]*Edge)
+		}
+		if _, ok := g.pend.editOld[i]; !ok {
+			g.pend.editOld[i] = old
+		}
 	}
 	g.dirty.Store(true)
 	return true
@@ -323,11 +366,7 @@ func (g *Graph) SetTaskProps(name string, props TaskProps) bool {
 		props.Instances = 1
 	}
 	id := TaskID(name)
-	old := g.vertices[id]
-	if old == nil {
-		return false
-	}
-	return g.replaceVertex(id, &Vertex{ID: id, Task: props})
+	return g.replaceVertex(g.slot(id), &Vertex{ID: id, Task: props})
 }
 
 // SetDataProps replaces the properties of the data vertex with the given
@@ -338,54 +377,43 @@ func (g *Graph) SetDataProps(name string, props DataProps) bool {
 		props.Instances = 1
 	}
 	id := DataID(name)
-	old := g.vertices[id]
-	if old == nil {
-		return false
-	}
-	return g.replaceVertex(id, &Vertex{ID: id, Data: props})
+	return g.replaceVertex(g.slot(id), &Vertex{ID: id, Data: props})
 }
 
-// replaceVertex swaps the stored vertex pointer for id and records the delta:
-// vertices added since the last derivation are swapped in the pending list
-// (their final value surfaces everywhere), pre-existing ones record the
-// first-seen old pointer for the copy-on-write edit map.
-func (g *Graph) replaceVertex(id ID, nv *Vertex) bool {
-	old := g.vertices[id]
-	g.vertices[id] = nv
-	if g.pend.newVertPos == nil && len(g.pend.newVerts) > 0 {
-		g.pend.newVertPos = make(map[ID]int32, len(g.pend.newVerts))
-		for j, v := range g.pend.newVerts {
-			g.pend.newVertPos[v.ID] = int32(j)
+// replaceVertex swaps the stored vertex pointer of slot s and records the
+// delta: a vertex added since the last derivation surfaces its final value
+// through its slot, a pre-existing one records the first-seen old pointer
+// for the copy-on-write edit map.
+func (g *Graph) replaceVertex(s int32, nv *Vertex) bool {
+	if s < 0 {
+		return false
+	}
+	old := g.verts[s]
+	g.verts[s] = nv
+	if seen, _ := g.derived(); int(s) < seen {
+		if g.pend.editVertOld == nil {
+			g.pend.editVertOld = make(map[int32]*Vertex)
 		}
-	}
-	if j, ok := g.pend.newVertPos[id]; ok {
-		g.pend.newVerts[j] = nv
-		g.dirty.Store(true)
-		return true
-	}
-	if g.pend.editVertOld == nil {
-		g.pend.editVertOld = make(map[ID]*Vertex)
-	}
-	if _, ok := g.pend.editVertOld[id]; !ok {
-		g.pend.editVertOld[id] = old
+		if _, ok := g.pend.editVertOld[s]; !ok {
+			g.pend.editVertOld[s] = old
+		}
 	}
 	g.dirty.Store(true)
 	return true
 }
 
-// edgeIndex returns the first g.edges index of src→dst, or -1, building the
-// lookup table on first use.
-func (g *Graph) edgeIndex(src, dst ID) int32 {
+// edgeIndex returns the first g.edges index of the edge between slots s and
+// d, or -1, building the lookup table on first use.
+func (g *Graph) edgeIndex(s, d int32) int32 {
 	if g.edgeAt == nil {
-		g.edgeAt = make(map[edgeKey]int32, len(g.edges))
-		for i, e := range g.edges {
-			k := edgeKey{e.Src, e.Dst}
+		g.edgeAt = make(map[slotPair]int32, len(g.ends))
+		for i, k := range g.ends {
 			if _, ok := g.edgeAt[k]; !ok {
 				g.edgeAt[k] = int32(i)
 			}
 		}
 	}
-	if i, ok := g.edgeAt[edgeKey{src, dst}]; ok {
+	if i, ok := g.edgeAt[slotPair{s, d}]; ok {
 		return i
 	}
 	return -1
@@ -395,7 +423,7 @@ func (g *Graph) edgeIndex(src, dst ID) int32 {
 // returned pointer bypasses the index delta — prefer SetEdgeProps; if you do
 // mutate in place after queries have run, call Invalidate.
 func (g *Graph) FindEdge(src, dst ID) *Edge {
-	for _, e := range g.out[src] {
+	for _, e := range g.Out(src) {
 		if e.Dst == dst {
 			return e
 		}
@@ -404,19 +432,29 @@ func (g *Graph) FindEdge(src, dst ID) *Edge {
 }
 
 // Out returns the outgoing edges of id.
-func (g *Graph) Out(id ID) []*Edge { return g.out[id] }
+func (g *Graph) Out(id ID) []*Edge {
+	if s := g.slot(id); s >= 0 {
+		return g.out[s]
+	}
+	return nil
+}
 
 // In returns the incoming edges of id.
-func (g *Graph) In(id ID) []*Edge { return g.in[id] }
+func (g *Graph) In(id ID) []*Edge {
+	if s := g.slot(id); s >= 0 {
+		return g.in[s]
+	}
+	return nil
+}
 
 // OutDegree and InDegree report adjacency sizes.
-func (g *Graph) OutDegree(id ID) int { return len(g.out[id]) }
+func (g *Graph) OutDegree(id ID) int { return len(g.Out(id)) }
 
 // InDegree reports the number of incoming edges.
-func (g *Graph) InDegree(id ID) int { return len(g.in[id]) }
+func (g *Graph) InDegree(id ID) int { return len(g.In(id)) }
 
 // NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return len(g.vertices) }
+func (g *Graph) NumVertices() int { return len(g.verts) }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -485,7 +523,7 @@ func (g *Graph) Producers(data ID) []ID {
 	if p := ix.Pos(data); p >= 0 && data.Kind == DataVertex {
 		return ix.producersFor(p)
 	}
-	return g.neighborTasks(g.in[data])
+	return g.neighborTasks(g.In(data))
 }
 
 // Consumers returns the distinct consumer tasks of a data vertex, sorted
@@ -495,7 +533,7 @@ func (g *Graph) Consumers(data ID) []ID {
 	if p := ix.Pos(data); p >= 0 && data.Kind == DataVertex {
 		return ix.consumersFor(p)
 	}
-	return g.neighborTasks(g.out[data])
+	return g.neighborTasks(g.Out(data))
 }
 
 func (g *Graph) neighborTasks(edges []*Edge) []ID {

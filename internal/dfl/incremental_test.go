@@ -9,14 +9,14 @@ import (
 )
 
 // assertSnapshotEquivalent deep-compares the graph's (possibly incremental)
-// snapshot against a naive from-scratch buildIndex reference on every public
-// accessor. Slot numbering may differ between the two (overlay snapshots keep
+// snapshot against a naive from-scratch buildIndexReference rebuild on every
+// public accessor. Slot numbering may differ between the two (overlay snapshots keep
 // delta vertices after the base), so adjacency and neighbor sets are compared
 // at the ID level and canonical views element-wise.
 func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 	t.Helper()
 	ix := g.Index()
-	ref := buildIndex(g)
+	ref := buildIndexReference(g)
 
 	if ix.Len() != ref.Len() {
 		t.Fatalf("Len: incremental %d, rebuild %d", ix.Len(), ref.Len())

@@ -99,10 +99,13 @@ type Index struct {
 	totalVolume uint64
 	bestRate    float64
 
-	// prod/cons hold, per base data slot, the distinct producer and consumer
-	// task IDs, sorted. Valid only for untouched base slots; overlay slots
-	// are computed on demand.
-	prod, cons [][]ID
+	// nbrs holds, per base data slot, the distinct producer and consumer
+	// IDs, each set sorted, as sub-slices of one flat array: for the j-th
+	// data slot (slot nTasks+j) the producers are nbrs[nbrOff[2j]:nbrOff[2j+1]]
+	// and the consumers nbrs[nbrOff[2j+1]:nbrOff[2j+2]]. Valid only for
+	// untouched base slots; overlay slots are computed on demand.
+	nbrs   []ID
+	nbrOff []int32
 
 	fpOnce  sync.Once
 	fpReady atomic.Bool
@@ -170,63 +173,75 @@ func cmpEdge(a, b *Edge) int {
 }
 
 // buildIndex is the full (compacting) rebuild: everything re-frozen in
-// canonical order with an empty overlay. It is also the correctness
-// reference the incremental derivation is equivalence-tested against.
+// canonical order with an empty overlay. It hashes no ID except to fill the
+// snapshot's own Pos table and sorts no edge: the vertex order merges the
+// slots added since the previous compaction into that compaction's order,
+// and the CSR adjacency, the canonical edge order and the neighbor sets come
+// from counting passes over slots.
 func buildIndex(g *Graph) *Index {
-	n := len(g.vertices)
+	order, rank := g.canonicalOrder()
+	n := len(order)
 	ix := &Index{
-		ids:       make([]ID, 0, n),
+		ids:       make([]ID, n),
 		pos:       make(map[ID]int32, n),
+		verts:     make([]*Vertex, n),
+		baseN:     int32(n),
+		n:         n,
 		canonical: true,
 	}
-	for id := range g.vertices {
-		ix.ids = append(ix.ids, id)
-	}
-	slices.SortFunc(ix.ids, cmpID)
-	ix.verts = make([]*Vertex, n)
-	for i, id := range ix.ids {
-		ix.pos[id] = int32(i)
-		ix.verts[i] = g.vertices[id]
-		if id.Kind == TaskVertex {
+	for i, s := range order {
+		v := g.verts[s]
+		ix.ids[i] = v.ID
+		ix.pos[v.ID] = int32(i)
+		ix.verts[i] = v
+		if v.ID.Kind == TaskVertex {
 			ix.nTasks = i + 1
 		}
 	}
-	ix.baseN = int32(n)
-	ix.n = n
 	ix.nTasksAll = ix.nTasks
 
-	// CSR adjacency, preserving each vertex's insertion-order edge lists.
+	// CSR adjacency, preserving each vertex's insertion-order edge lists:
+	// count each position's degree, turn the counts into end offsets with a
+	// running sum, then place the edges walking g.edges backwards and
+	// decrementing the offsets, which leaves every offset at its list's start.
 	m := len(g.edges)
 	ix.mEdges = m
 	ix.outOff = make([]int32, n+1)
 	ix.inOff = make([]int32, n+1)
-	ix.outEdges = make([]*Edge, 0, m)
-	ix.inEdges = make([]*Edge, 0, m)
-	ix.outDst = make([]int32, 0, m)
-	ix.inSrc = make([]int32, 0, m)
-	for i, id := range ix.ids {
-		for _, e := range g.out[id] {
-			ix.outEdges = append(ix.outEdges, e)
-			ix.outDst = append(ix.outDst, ix.pos[e.Dst])
-		}
-		ix.outOff[i+1] = int32(len(ix.outEdges))
-		for _, e := range g.in[id] {
-			ix.inEdges = append(ix.inEdges, e)
-			ix.inSrc = append(ix.inSrc, ix.pos[e.Src])
-		}
-		ix.inOff[i+1] = int32(len(ix.inEdges))
+	ix.outEdges = make([]*Edge, m)
+	ix.inEdges = make([]*Edge, m)
+	ix.outDst = make([]int32, m)
+	ix.inSrc = make([]int32, m)
+	for _, p := range g.ends {
+		ix.outOff[rank[p.src]]++
+		ix.inOff[rank[p.dst]]++
+	}
+	for i := 1; i < n; i++ {
+		ix.outOff[i] += ix.outOff[i-1]
+		ix.inOff[i] += ix.inOff[i-1]
+	}
+	ix.outOff[n], ix.inOff[n] = int32(m), int32(m)
+	for k := m - 1; k >= 0; k-- {
+		e, p := g.edges[k], g.ends[k]
+		s, d := rank[p.src], rank[p.dst]
+		ix.outOff[s]--
+		ix.outEdges[ix.outOff[s]], ix.outDst[ix.outOff[s]] = e, d
+		ix.inOff[d]--
+		ix.inEdges[ix.inOff[d]], ix.inSrc[ix.inOff[d]] = e, s
 	}
 
-	// Sorted edge snapshot: order by (src, dst) using dense indices, which
-	// agree with ID ordering.
+	// Canonical edge order by (src, dst): walk destinations in canonical
+	// order and append each in-edge to its source's bucket, so each bucket
+	// is sorted by destination and duplicate endpoints keep insertion order.
 	ix.edges = make([]*Edge, m)
-	copy(ix.edges, g.edges)
-	slices.SortFunc(ix.edges, func(a, b *Edge) int {
-		if c := ix.pos[a.Src] - ix.pos[b.Src]; c != 0 {
-			return int(c)
+	cur := slices.Clone(ix.outOff[:n])
+	for d := 0; d < n; d++ {
+		for k := ix.inOff[d]; k < ix.inOff[d+1]; k++ {
+			s := ix.inSrc[k]
+			ix.edges[cur[s]] = ix.inEdges[k]
+			cur[s]++
 		}
-		return int(ix.pos[a.Dst] - ix.pos[b.Dst])
-	})
+	}
 
 	// Aggregates: one pass over the edge set.
 	for _, e := range g.edges {
@@ -239,6 +254,38 @@ func buildIndex(g *Graph) *Index {
 	ix.buildTopo()
 	ix.buildNeighbors()
 	return ix
+}
+
+// canonicalOrder returns the slots in canonical (kind, name) order and the
+// inverse map from slot to position. Vertices are never removed, so it sorts
+// only the slots added since the previous compaction and merges them into
+// that compaction's order (kept in g.order, with g.rank, for the next one).
+func (g *Graph) canonicalOrder() (order, rank []int32) {
+	old, n := len(g.order), len(g.verts)
+	added := make([]int32, n-old)
+	for i := range added {
+		added[i] = int32(old + i)
+	}
+	byID := func(a, b int32) int { return cmpID(g.verts[a].ID, g.verts[b].ID) }
+	slices.SortFunc(added, byID)
+
+	// Merge from the back: each added slot binary-searches its place in the
+	// old prefix, and the old slots after it shift up as one block.
+	order = slices.Grow(g.order, len(added))[:n]
+	hi := old
+	for j := len(added) - 1; j >= 0; j-- {
+		a := added[j]
+		at, _ := slices.BinarySearchFunc(order[:hi], a, byID)
+		copy(order[at+j+1:], order[at:hi])
+		order[at+j] = a
+		hi = at
+	}
+	rank = slices.Grow(g.rank, n-len(g.rank))[:n]
+	for p, s := range order {
+		rank[s] = int32(p)
+	}
+	g.order, g.rank = order, rank
+	return order, rank
 }
 
 // buildTopo computes the deterministic Kahn order: the queue is seeded with
@@ -285,30 +332,52 @@ func (ix *Index) buildTopo() {
 }
 
 // buildNeighbors computes, per data vertex, the distinct producer and
-// consumer task sets in canonical order.
+// consumer sets in canonical order into the flat nbrs array, without
+// sorting: producers are found walking sources in canonical order over the
+// out-lists, consumers walking destinations over the in-lists, and a repeat
+// of the peer just seen is a duplicate edge. The first pass counts the sets,
+// the second fills them walking backwards from their ends.
 func (ix *Index) buildNeighbors() {
-	n := len(ix.ids)
-	ix.prod = make([][]ID, n)
-	ix.cons = make([][]ID, n)
-	var scratch []int32
-	distinct := func(poss []int32) []ID {
-		if len(poss) == 0 {
-			return nil
+	n, nt := int32(len(ix.ids)), int32(ix.nTasks)
+	off := make([]int32, 2*(n-nt)+1)
+	last := make([]int32, n) // the peer that last added to each data vertex's set
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			for k := 1; k < len(off); k++ {
+				off[k] += off[k-1]
+			}
+			ix.nbrs = make([]ID, off[len(off)-1])
 		}
-		scratch = append(scratch[:0], poss...)
-		slices.Sort(scratch)
-		scratch = slices.Compact(scratch)
-		out := make([]ID, len(scratch))
-		for i, p := range scratch {
-			out[i] = ix.ids[p]
+		for set := int32(0); set < 2; set++ {
+			vOff, peers := ix.outOff, ix.outDst // producers
+			if set == 1 {
+				vOff, peers = ix.inOff, ix.inSrc // consumers
+			}
+			for i := range last {
+				last[i] = -1
+			}
+			for i := int32(0); i < n; i++ {
+				p := i
+				if pass == 1 {
+					p = n - 1 - i
+				}
+				for _, d := range peers[vOff[p]:vOff[p+1]] {
+					if d < nt || last[d] == p {
+						continue
+					}
+					last[d] = p
+					k := 2*(d-nt) + set
+					if pass == 0 {
+						off[k]++
+					} else {
+						off[k]--
+						ix.nbrs[off[k]] = ix.ids[p]
+					}
+				}
+			}
 		}
-		return out
 	}
-	for i := ix.nTasks; i < n; i++ {
-		vi := int32(i)
-		ix.prod[i] = distinct(ix.inSrc[ix.inOff[vi]:ix.inOff[vi+1]])
-		ix.cons[i] = distinct(ix.outDst[ix.outOff[vi]:ix.outOff[vi+1]])
-	}
+	ix.nbrOff = off
 }
 
 // Len returns the number of vertices.
@@ -516,10 +585,19 @@ func (ix *Index) distinctTasks(peers []int32) []ID {
 	return slices.Compact(ids)
 }
 
+// neighborSet returns set k of the flat neighbor array (see nbrs), or nil
+// when it is empty.
+func (ix *Index) neighborSet(k int32) []ID {
+	if lo, hi := ix.nbrOff[k], ix.nbrOff[k+1]; lo < hi {
+		return ix.nbrs[lo:hi:hi]
+	}
+	return nil
+}
+
 // producersFor returns the distinct producer task IDs of data slot p.
 func (ix *Index) producersFor(p int32) []ID {
 	if p < ix.baseN && ix.overlayFor(p) == nil {
-		return ix.prod[p]
+		return ix.neighborSet(2 * (p - int32(ix.nTasks)))
 	}
 	_, src := ix.In(p)
 	return ix.distinctTasks(src)
@@ -528,7 +606,7 @@ func (ix *Index) producersFor(p int32) []ID {
 // consumersFor returns the distinct consumer task IDs of data slot p.
 func (ix *Index) consumersFor(p int32) []ID {
 	if p < ix.baseN && ix.overlayFor(p) == nil {
-		return ix.cons[p]
+		return ix.neighborSet(2*(p-int32(ix.nTasks)) + 1)
 	}
 	_, dst := ix.Out(p)
 	return ix.distinctTasks(dst)

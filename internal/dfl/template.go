@@ -42,7 +42,7 @@ func Template(g *Graph, group GroupFunc) *Graph {
 	for _, v := range g.Vertices() {
 		tid := ID{v.ID.Kind, group(v.ID.Kind, v.ID.Name)}
 		rename[v.ID] = tid
-		tv := t.ensure(tid)
+		tv := t.verts[t.ensure(tid)]
 		counts[tid]++
 		n := counts[tid]
 		switch v.ID.Kind {
@@ -114,7 +114,7 @@ func AverageRuns(runs []*Graph) (*Graph, error) {
 	base := runs[0]
 	avg := New()
 	for _, v := range base.Vertices() {
-		nv := avg.ensure(v.ID)
+		nv := avg.verts[avg.ensure(v.ID)]
 		*nv = *v
 	}
 	for _, e := range base.Edges() {

@@ -107,12 +107,13 @@ func (g *Graph) Validate() []Violation {
 	// Per-data-vertex flow checks.
 	for _, d := range g.DataFiles() {
 		var produced uint64
-		for _, e := range g.in[d.ID] {
+		in, out := g.In(d.ID), g.Out(d.ID)
+		for _, e := range in {
 			if e.Kind == Producer {
 				produced += e.Props.Volume
 			}
 		}
-		nIn, nOut := len(g.in[d.ID]), len(g.out[d.ID])
+		nIn, nOut := len(in), len(out)
 		initial := d.Data.Size // unproduced data is an initial input of this size
 		switch {
 		case nIn == 0 && nOut == 0:
@@ -140,7 +141,7 @@ func (g *Graph) Validate() []Violation {
 		if capacity == 0 {
 			capacity = produced
 		}
-		for _, e := range g.out[d.ID] {
+		for _, e := range out {
 			if e.Kind != Consumer {
 				continue
 			}
@@ -216,30 +217,29 @@ func (g *Graph) Validate() []Violation {
 // cycleSubject names the vertices left unordered by Kahn's algorithm — a
 // superset of the cycle members, small enough to point at the problem.
 func (g *Graph) cycleSubject() string {
-	indeg := make(map[ID]int, len(g.vertices))
-	for id := range g.vertices {
-		indeg[id] = len(g.in[id])
-	}
-	var queue []ID
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
+	indeg := make([]int, len(g.verts))
+	var queue []int32
+	for s := range indeg {
+		indeg[s] = len(g.in[s])
+		if indeg[s] == 0 {
+			queue = append(queue, int32(s))
 		}
 	}
 	for len(queue) > 0 {
-		id := queue[0]
+		s := queue[0]
 		queue = queue[1:]
-		for _, e := range g.out[id] {
-			indeg[e.Dst]--
-			if indeg[e.Dst] == 0 {
-				queue = append(queue, e.Dst)
+		for _, e := range g.out[s] {
+			d := g.slots[e.Dst]
+			indeg[d]--
+			if indeg[d] == 0 {
+				queue = append(queue, d)
 			}
 		}
 	}
 	var stuck []string
-	for id, d := range indeg {
+	for s, d := range indeg {
 		if d > 0 {
-			stuck = append(stuck, id.String())
+			stuck = append(stuck, g.verts[s].ID.String())
 		}
 	}
 	sort.Strings(stuck)
@@ -253,14 +253,7 @@ func (g *Graph) cycleSubject() string {
 // exists for deserializers and for testing Validate against malformed
 // graphs; regular construction must use AddEdge.
 func (g *Graph) AddUncheckedEdge(src, dst ID, kind EdgeKind, props FlowProps) *Edge {
-	g.ensure(src)
-	g.ensure(dst)
-	e := &Edge{Src: src, Dst: dst, Kind: kind, Props: props}
-	if e.Props.Samples == 0 {
-		e.Props.Samples = 1
-	}
-	g.appendEdge(e)
-	return e
+	return g.appendEdge(src, dst, kind, props)
 }
 
 func edgeName(e *Edge) string { return e.Src.String() + "→" + e.Dst.String() }

@@ -18,7 +18,9 @@
 # SimEngine stress suite) against the checked-in BENCH_*.json trajectory and
 # exits non-zero on a >20% ns/op regression. The incremental-index rows
 # (IncrementalIndex/append-query-100k and streaming-build-100000) guard the
-# O(delta) snapshot derivation the live-analysis path depends on. The
+# O(delta) snapshot derivation the live-analysis path depends on, and
+# IncrementalIndex/append-query-rebuild-100k the full compaction that every
+# fresh query on a live serve session pays. The
 # ServeIngest row guards the streaming service's durable ingest pipeline
 # (wire → journal → apply → ack, fsync excluded). SavedStateLoad guards the
 # one-pass saved-state decoder behind `datalife -load`, and DetvetWholeRepo
@@ -103,7 +105,8 @@ status=0
 for name in 'AnalysisLinearity/chain-10000' 'Advisor' \
     'SimEngine/chain-100k' 'SimEngine/chain-100k-linked' \
     'SimEngine/fan-in-100k' 'SimEngine/faulty-sweep' \
-    'IncrementalIndex/append-query-100k' 'IncrementalIndex/streaming-build-100000' \
+    'IncrementalIndex/append-query-100k' 'IncrementalIndex/append-query-rebuild-100k' \
+    'IncrementalIndex/streaming-build-100000' \
     'ServeIngest' 'SavedStateLoad' 'DetvetWholeRepo'; do
     old="$(median_ns "$name")"
     new="$(ns_for "$out" "$name")"
