@@ -27,6 +27,42 @@ func TestFaultFreeOutputByteIdenticalToSeed(t *testing.T) {
 	}
 }
 
+// TestSweepStdoutGolden pins the sweep subcommands' stdout at -scale small
+// -seeds 2 under their default schedules: the plain and checkpoint fault
+// sweeps, each with and without the -advise re-analysis, and the network
+// sweep. If an intentional simulator change moves a hash, re-pin it in the
+// same commit and say why in the message.
+func TestSweepStdoutGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cmd  string
+		fo   faultsOptions
+		want string
+	}{
+		{"faults", "faults", faultsOptions{Seeds: 2},
+			"4d9fbb4582c253bf2a5cfc471a8f79fd2f9ed941bc23ffb3ce0a053079fef8b8"},
+		{"advise faults", "faults", faultsOptions{Seeds: 2, Advise: true},
+			"00d738c1ce3d53617a69c045012e964bccff4d15b2ca669177ae11c70b433647"},
+		{"checkpoint faults", "faults", faultsOptions{Seeds: 2, Checkpoint: "nfs"},
+			"d03d0194ceab5b91b6bbf36ef8fa05927cd9d27ca284d853c918ca7d6d77fbaa"},
+		{"checkpoint advise faults", "faults", faultsOptions{Seeds: 2, Checkpoint: "nfs", Advise: true},
+			"0e3fb6dabced642951f62535727571526088506cfb4325f1f22eeb8c1efe3c31"},
+		{"netsweep", "netsweep", faultsOptions{Seeds: 2},
+			"c12669a79f97f7e61ac2a4af41d47d7a9f789500d96133064276ce254465280a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, []string{tc.cmd}, experiments.Small, "", 1, tc.fo); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Fatalf("stdout hash = %s, want %s\n%s", got, tc.want, buf.Bytes())
+			}
+		})
+	}
+}
+
 func TestFaultSweepStdoutDeterministic(t *testing.T) {
 	sweep := func() string {
 		var buf bytes.Buffer

@@ -18,7 +18,8 @@
 // other subcommand's output is byte-identical to a fault-free build. With
 // -advise, each sweep run's measured DFL is re-analyzed through a memoized
 // advisor keyed by the graph's content hash, so seeds producing identical
-// lifecycles reuse one cached plan.
+// lifecycles reuse one cached plan; the collector rides on the sweep's own
+// runs.
 //
 // The `netsweep` subcommand runs the federated Belle II campaign (site A MC
 // production feeding site B analysis over a WAN link) under the -faults
@@ -32,12 +33,18 @@
 // compares the two side by side (including the ddmd pipeline demo whose
 // node-local intermediates are what the planner protects).
 //
-// With -resume DIR, the sweep appends every finished cell to a
-// crash-consistent run journal in DIR (CRC-framed, synced per record). A
-// run killed mid-sweep is resumed by re-running the same command: cells
-// recovered from the journal's valid prefix are not recomputed, and the
-// resumed stdout is byte-identical to an uninterrupted run because every
-// cell is a pure function of (spec, seed).
+// With -resume DIR, `faults` and `netsweep` append every finished cell to a
+// crash-consistent run journal, DIR/faultsweep.journal or
+// DIR/netsweep.journal (CRC-framed, synced per record). A run killed
+// mid-sweep is resumed by re-running the same command: cells recovered from
+// the journal's valid prefix are not recomputed, and the resumed stdout is
+// byte-identical to an uninterrupted run because every cell is a pure
+// function of (sweep, seed, mode). Resuming with different sweep flags is an
+// error.
+//
+// A -faults schedule the sweep's cluster cannot run at all (a crash of an
+// unknown node, network clauses without a topology) fails the subcommand;
+// a run that starts and then fails to recover prints an `unrecovered` row.
 //
 // Before any experiment executes, every workflow DAG it would run is
 // statically validated (internal/analysis/dflcheck); -novalidate skips the
@@ -76,7 +83,7 @@ func main() {
 	seeds := flag.Int("seeds", 3, "seeds per fault sweep (consecutive from the spec's seed)")
 	advise := flag.Bool("advise", false, "re-analyze each fault-sweep run's measured DFL through the memoized advisor")
 	ckptTier := flag.String("checkpoint", "", "durable tier for DFL-planned checkpoints; the faults sweep compares recovery-only vs checkpoint-enabled runs")
-	resume := flag.String("resume", "", "directory for the fault sweep's crash-consistent run journal; re-running with the same flags resumes from it")
+	resume := flag.String("resume", "", "directory for the faults and netsweep crash-consistent run journals; re-running with the same flags resumes from them")
 	connect := flag.String("connect", "", "stream the `stream` subcommand's workflow to a running `datalife serve` at this address instead of building in-process")
 	session := flag.String("session", "dflrun", "serve session name for -connect; rerunning with the same name resumes idempotently")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
@@ -138,17 +145,18 @@ func main() {
 	}
 }
 
-// faultsOptions carries the fault-sweep flags to the faults subcommand.
+// faultsOptions carries the sweep flags to the faults and netsweep
+// subcommands.
 type faultsOptions struct {
-	// Spec is the -faults schedule (DefaultFaultSpec when empty).
+	// Spec is the -faults schedule (the subcommand's default when empty).
 	Spec string
 	// Seeds is the number of consecutive seeds swept from the spec's seed.
 	Seeds int
-	// Advise re-analyzes each run's measured DFL through the memoized
-	// advisor.
+	// Advise re-analyzes each fault-sweep run's measured DFL through the
+	// memoized advisor.
 	Advise bool
-	// Checkpoint names the durable tier for DFL-planned checkpoints; empty
-	// runs a plain recovery-only sweep.
+	// Checkpoint names the durable tier for the fault sweep's DFL-planned
+	// checkpoints; empty runs a plain recovery-only sweep.
 	Checkpoint string
 	// Resume is the run-journal directory; empty disables journaling.
 	Resume string
@@ -233,86 +241,9 @@ func isExperiment(name string) bool {
 func runOne(w io.Writer, name string, scale experiments.Scale, svgDir string, dfls []experiments.WorkflowDFL, fo faultsOptions) error {
 	switch name {
 	case "faults":
-		spec := fo.Spec
-		if spec == "" {
-			spec = experiments.DefaultFaultSpec
-		}
-		sched, err := faults.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		seeds := fo.Seeds
-		if seeds < 1 {
-			seeds = 1
-		}
-		list := make([]uint64, seeds)
-		for i := range list {
-			list[i] = sched.Seed + uint64(i)
-		}
-		opts := experiments.SweepOptions{Checkpoint: fo.Checkpoint}
-		var done map[experiments.RowKey]experiments.FaultSweepRow
-		var record func(experiments.FaultSweepRow) error
-		if fo.Resume != "" {
-			if err := os.MkdirAll(fo.Resume, 0o755); err != nil {
-				return err
-			}
-			j, err := experiments.OpenRunJournal(filepath.Join(fo.Resume, "faultsweep.journal"),
-				experiments.RunHeader{
-					Spec:       sched.String(),
-					Scale:      uint8(scale),
-					Seeds:      list,
-					Checkpoint: fo.Checkpoint,
-				})
-			if err != nil {
-				return err
-			}
-			defer j.Close()
-			if n := j.Resumed(); n > 0 {
-				// Stderr, not w: resumed stdout must stay byte-identical to
-				// an uninterrupted run.
-				fmt.Fprintf(os.Stderr, "dflrun: resuming, %d sweep cell(s) recovered from the run journal\n", n)
-			}
-			done, record = j.Done(), j.Record
-		}
-		rows, err := experiments.FaultSweepResumable(scale, sched, list, opts, done, record)
-		if err != nil {
-			return err
-		}
-		if fo.Checkpoint != "" {
-			fmt.Fprintln(w, experiments.FaultSweepCheckpointReport(sched, fo.Checkpoint, rows))
-		} else {
-			fmt.Fprintln(w, experiments.FaultSweepReport(sched, rows))
-		}
-		if fo.Advise {
-			// Opt-in: default faults output stays byte-identical without it.
-			adv, err := experiments.FaultSweepAnalyze(scale, sched, list)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, experiments.FaultAdviceReport(adv))
-		}
+		return runSweep(w, experiments.KindFaults, scale, fo)
 	case "netsweep":
-		spec := fo.Spec
-		if spec == "" {
-			spec = experiments.DefaultNetFaultSpec
-		}
-		sched, err := faults.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		seeds := fo.Seeds
-		if seeds < 1 {
-			seeds = 1
-		}
-		list := make([]uint64, seeds)
-		for i := range list {
-			list[i] = sched.Seed + uint64(i)
-		}
-		rows, err := experiments.NetSweep(scale, sched, list)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, experiments.NetSweepReport(sched, rows))
+		return runSweep(w, experiments.KindNet, scale, fo)
 	case "fig2":
 		fmt.Fprintln(w, experiments.Fig2Report(dfls, true))
 		if svgDir != "" {
@@ -433,6 +364,51 @@ func runOne(w io.Writer, name string, scale experiments.Scale, svgDir string, df
 	default:
 		return fmt.Errorf("unknown subcommand %q", name)
 	}
+	return nil
+}
+
+// runSweep runs one sweep subcommand. With -resume DIR it journals every
+// finished cell to DIR/<kind>.journal and skips the cells a previous run
+// already journaled.
+func runSweep(w io.Writer, kind string, scale experiments.Scale, fo faultsOptions) error {
+	spec := fo.Spec
+	if spec == "" {
+		spec = experiments.DefaultFaultSpec
+		if kind == experiments.KindNet {
+			spec = experiments.DefaultNetFaultSpec
+		}
+	}
+	sched, err := faults.ParseSpec(spec)
+	if err != nil {
+		return err
+	}
+	sw := experiments.Sweep{Kind: kind, Spec: sched.String(), Scale: scale, Seeds: max(fo.Seeds, 1)}
+	if kind == experiments.KindFaults {
+		sw.Checkpoint, sw.Advise = fo.Checkpoint, fo.Advise
+	}
+	var done map[experiments.RowKey]experiments.SweepRow
+	var record func(experiments.SweepRow) error
+	if fo.Resume != "" {
+		if err := os.MkdirAll(fo.Resume, 0o755); err != nil {
+			return err
+		}
+		j, err := experiments.OpenRunJournal(filepath.Join(fo.Resume, kind+".journal"), sw)
+		if err != nil {
+			return err
+		}
+		defer j.Close()
+		if n := j.Resumed(); n > 0 {
+			// Stderr, not w: resumed stdout must stay byte-identical to an
+			// uninterrupted run.
+			fmt.Fprintf(os.Stderr, "dflrun: resuming, %d sweep cell(s) recovered from the run journal\n", n)
+		}
+		done, record = j.Done(), j.Record
+	}
+	rows, err := sw.Run(done, record)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, sw.Report(rows))
 	return nil
 }
 

@@ -91,10 +91,6 @@ type FilePlacement struct {
 	// RerunCost is the expected virtual seconds of recovery work
 	// (producer re-runs weighted by RerunRisk) the placement risks.
 	RerunCost float64
-	// XferInflation is the staging transfer's expected retransmission
-	// factor over the configured lossy link (1 when no loss is configured
-	// or the placement never considered staging).
-	XferInflation float64
 }
 
 // Plan is the advisor's full output.
@@ -111,44 +107,28 @@ type Plan struct {
 type Config struct {
 	// Nodes is the number of nodes available for thread placement (>= 1).
 	Nodes int
-	// StageThreshold: a shared read-only input consumed by at least this
-	// many tasks is recommended for per-node staging (default 4).
-	StageThreshold int
-	// LocalityWeight biases thread extraction toward flow volume (1.0) vs
-	// task time (0.0); default 0.7.
-	LocalityWeight float64
 	// CrashesPerHour, when positive, prices volatile-tier placements: each
 	// node-local or staged-copy recommendation is annotated with the
 	// probability of losing the data to a node crash during its DFL
 	// lifetime and the expected re-run cost of recovering it. Zero (the
 	// default) disables the annotation.
 	CrashesPerHour float64
-	// WANLossRate, when positive, is the per-chunk loss probability on the
-	// link staging copies would cross. Every staged-copy candidate's
-	// transfer is priced at the loss's retransmission inflation
-	// (1/(1-loss)); candidates whose inflation exceeds MaxStageInflation
-	// are kept on the shared filesystem instead — past that point the
-	// repeated WAN retransmissions cost more than the congestion staging
-	// would save. Zero (the default) leaves staging advice unchanged.
-	WANLossRate float64
-	// MaxStageInflation is the staging demotion threshold (default 1.5,
-	// i.e. staging is abandoned when the lossy link would retransmit more
-	// than half the bytes again).
-	MaxStageInflation float64
 }
+
+const (
+	// stageThreshold: a shared read-only input consumed by at least this
+	// many tasks is recommended for per-node staging.
+	stageThreshold = 4
+	// localityWeight biases thread extraction toward flow volume (1.0) vs
+	// task time (0.0). It is typed, so 1-localityWeight is computed from
+	// the float64 nearest 0.7 (giving 0.30000000000000004), not as the exact
+	// 0.3, which would move every task weight by one ulp.
+	localityWeight float64 = 0.7
+)
 
 func (c Config) withDefaults() Config {
 	if c.Nodes < 1 {
 		c.Nodes = 1
-	}
-	if c.StageThreshold == 0 {
-		c.StageThreshold = 4
-	}
-	if c.LocalityWeight == 0 {
-		c.LocalityWeight = 0.7
-	}
-	if c.MaxStageInflation == 0 {
-		c.MaxStageInflation = 1.5
 	}
 	return c
 }
@@ -159,7 +139,7 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	if !g.IsDAG() {
 		return nil, fmt.Errorf("advisor: needs a DFL-DAG (acyclic); aggregate templates are not schedulable")
 	}
-	threads := ExtractThreads(g, cfg)
+	threads := ExtractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
 	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int)}
@@ -193,13 +173,12 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 // in its unclaimed producer/consumer neighbours at distance one (through
 // their data vertices), forming a thread. Remaining tasks become singleton
 // threads. Linear in V+E per extracted path.
-func ExtractThreads(g *dfl.Graph, cfg Config) []Thread {
-	cfg = cfg.withDefaults()
+func ExtractThreads(g *dfl.Graph) []Thread {
 	weight := func(gr *dfl.Graph, e *dfl.Edge) float64 {
-		return cfg.LocalityWeight * float64(e.Props.Volume)
+		return localityWeight * float64(e.Props.Volume)
 	}
 	vweight := func(gr *dfl.Graph, v *dfl.Vertex) float64 {
-		return (1 - cfg.LocalityWeight) * v.Task.Lifetime
+		return (1 - localityWeight) * v.Task.Lifetime
 	}
 	numTasks := len(g.Tasks())
 	claimed := make(map[dfl.ID]bool)
@@ -387,23 +366,10 @@ func placeFiles(g *dfl.Graph, cfg Config, threads []Thread, threadOf map[dfl.ID]
 			touch(t)
 		}
 		switch {
-		case len(producers) == 0 && len(consumers) >= cfg.StageThreshold:
+		case len(producers) == 0 && len(consumers) >= stageThreshold:
 			// Read-only input with wide fan-out: the 1000 Genomes columns
-			// pattern — stage a copy per consuming node, unless the staging
-			// link is lossy enough that retransmissions outweigh the
-			// congestion staging avoids.
-			infl := faults.LossRetransmitFactor(cfg.WANLossRate)
-			if infl > cfg.MaxStageInflation {
-				fp.Class = SharedFS
-				fp.XferInflation = infl
-				fp.Why = fmt.Sprintf("staging %d consumers would pay %.2fx retransmission inflation over the lossy link (loss %.1f%% > cap %.2fx); keep on shared storage",
-					len(consumers), infl, 100*cfg.WANLossRate, cfg.MaxStageInflation)
-				break
-			}
+			// pattern — stage a copy per consuming node.
 			fp.Class = StagedCopy
-			if infl > 1 {
-				fp.XferInflation = infl
-			}
 			fp.Why = fmt.Sprintf("read-only input with %d consumers across %d node(s): duplicated, congested flow",
 				len(consumers), len(nodes))
 		case home >= 0 && sameThread:
@@ -485,10 +451,6 @@ func (p *Plan) Report(limit int) string {
 		if fp.RerunRisk > 0 {
 			fmt.Fprintf(&b, "  %-40s %-12s volatile: %.2f%% crash exposure over lifetime, expected re-run cost %.3gs\n",
 				"", "", 100*fp.RerunRisk, fp.RerunCost)
-		}
-		if fp.XferInflation > 1 {
-			fmt.Fprintf(&b, "  %-40s %-12s lossy link: %.2fx expected transfer inflation\n",
-				"", "", fp.XferInflation)
 		}
 	}
 	if len(p.Opportunities) > 0 {

@@ -1,80 +1,73 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 
 	"datalife/internal/journal"
 )
 
-// A RunJournal makes a fault sweep crash-resumable: every finished row is
-// appended to a CRC-framed journal and synced before the sweep moves on, so
-// a killed process leaves at most one torn record at the tail. Re-opening
-// the journal recovers the valid prefix, and FaultSweepResumable skips the
-// recovered cells — a resumed sweep produces rows bit-identical to an
-// uninterrupted one because every cell is deterministic in (spec, seed).
-
-// RunHeader pins the configuration a journal belongs to. A resume with a
-// different spec, scale, seed list, or checkpoint tier would silently mix
-// incomparable rows; the header check turns that into an error.
-type RunHeader struct {
-	Spec       string   `json:"spec"`
-	Scale      uint8    `json:"scale"`
-	Seeds      []uint64 `json:"seeds"`
-	Checkpoint string   `json:"checkpoint,omitempty"`
-}
+// A RunJournal makes a sweep crash-resumable: every finished row is appended
+// to a CRC-framed journal and synced before the sweep moves on, so a killed
+// process leaves at most one torn record at the tail. Re-opening the journal
+// recovers the valid prefix, and Sweep.Run skips the recovered cells — a
+// resumed sweep produces rows bit-identical to an uninterrupted one because
+// every cell is deterministic in (sweep, seed, mode).
+//
+// The journal's first record is the Sweep itself. A resume under a different
+// kind, spec, scale, seed count, checkpoint tier, or advice setting would
+// silently mix incomparable rows; the header check turns that into an error.
 
 // RunJournal is an open sweep journal positioned for appending.
 type RunJournal struct {
 	f    *os.File
 	jw   *journal.Writer
-	done map[RowKey]FaultSweepRow
+	done map[RowKey]SweepRow
 }
 
-// OpenRunJournal opens or creates the journal at path. An existing journal
-// must carry a matching header; its valid prefix of rows becomes Done(),
-// the file is truncated to that prefix (dropping any torn tail), and new
-// rows append after it. A journal whose header record itself is torn is
-// restarted from scratch — it holds no usable rows.
-func OpenRunJournal(path string, hdr RunHeader) (*RunJournal, error) {
+// OpenRunJournal opens or creates the journal at path for sweep s. An
+// existing journal must carry s as its header; its valid prefix of rows
+// becomes Done(), the file is truncated to that prefix (dropping any torn
+// tail), and new rows append after it. A journal whose header record itself
+// is torn is restarted empty — it holds no usable rows.
+func OpenRunJournal(path string, s Sweep) (*RunJournal, error) {
+	hdr, err := json.Marshal(s)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: opening run journal: %w", err)
 	}
-	j := &RunJournal{f: f, jw: journal.NewWriter(f), done: map[RowKey]FaultSweepRow{}}
+	j := &RunJournal{f: f, jw: journal.NewWriter(f), done: map[RowKey]SweepRow{}}
 
-	s := journal.NewScanner(f)
+	sc := journal.NewScanner(f)
 	sawHeader := false
-	for s.Scan() {
+	for sc.Scan() {
 		if !sawHeader {
-			var got RunHeader
-			if err := json.Unmarshal(s.Bytes(), &got); err != nil {
+			if !bytes.Equal(sc.Bytes(), hdr) {
 				f.Close()
-				return nil, fmt.Errorf("experiments: run journal header: %w", err)
-			}
-			if !reflect.DeepEqual(got, hdr) {
-				f.Close()
-				return nil, fmt.Errorf("experiments: run journal %s was written by a different sweep (%+v, resuming %+v)",
-					path, got, hdr)
+				return nil, fmt.Errorf("experiments: run journal %s was written by a different sweep (%s, resuming %s)",
+					path, sc.Bytes(), hdr)
 			}
 			sawHeader = true
 			continue
 		}
-		var row FaultSweepRow
-		if err := json.Unmarshal(s.Bytes(), &row); err != nil {
+		var row SweepRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("experiments: run journal row: %w", err)
 		}
 		j.done[row.Key()] = row
 	}
-	if err := s.Err(); err != nil {
+	if err := sc.Err(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("experiments: reading run journal: %w", err)
 	}
 
-	off := s.Offset()
+	off := sc.Offset()
 	if !sawHeader {
 		off = 0
 	}
@@ -87,12 +80,7 @@ func OpenRunJournal(path string, hdr RunHeader) (*RunJournal, error) {
 		return nil, err
 	}
 	if !sawHeader {
-		payload, err := json.Marshal(hdr)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := j.jw.Append(payload); err != nil {
+		if err := j.jw.Append(hdr); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -104,16 +92,15 @@ func OpenRunJournal(path string, hdr RunHeader) (*RunJournal, error) {
 	return j, nil
 }
 
-// Done returns the rows recovered at open time, keyed for
-// FaultSweepResumable.
-func (j *RunJournal) Done() map[RowKey]FaultSweepRow { return j.done }
+// Done returns the rows recovered at open time, keyed for Sweep.Run.
+func (j *RunJournal) Done() map[RowKey]SweepRow { return j.done }
 
 // Resumed returns how many finished cells the journal carried at open.
 func (j *RunJournal) Resumed() int { return len(j.done) }
 
 // Record appends one finished row and syncs it to disk before returning, so
 // a crash after Record never loses the row.
-func (j *RunJournal) Record(row FaultSweepRow) error {
+func (j *RunJournal) Record(row SweepRow) error {
 	payload, err := json.Marshal(row)
 	if err != nil {
 		return fmt.Errorf("experiments: encoding sweep row: %w", err)

@@ -6,30 +6,24 @@ import (
 	"reflect"
 	"testing"
 
-	"datalife/internal/faults"
+	"datalife/internal/journal"
 )
 
-// journalSched is the fixed schedule the journal tests sweep under.
-func journalSched(t *testing.T) *faults.Schedule {
-	t.Helper()
-	sched, err := faults.ParseSpec(DefaultFaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sched
-}
+// checkpointSweep is the fixed sweep the journal tests run: the default
+// schedule over two seeds, checkpointing to nfs, with advice.
+var checkpointSweep = Sweep{Kind: KindFaults, Spec: DefaultFaultSpec, Scale: Small, Seeds: 2,
+	Checkpoint: "nfs", Advise: true}
 
 // runJournaledSweep runs a full sweep recording into a journal at path and
 // returns its rows.
-func runJournaledSweep(t *testing.T, path string, hdr RunHeader, sched *faults.Schedule,
-	seeds []uint64, opts SweepOptions) []FaultSweepRow {
+func runJournaledSweep(t *testing.T, path string, sw Sweep) []SweepRow {
 	t.Helper()
-	j, err := OpenRunJournal(path, hdr)
+	j, err := OpenRunJournal(path, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	rows, err := FaultSweepResumable(Small, sched, seeds, opts, j.Done(), j.Record)
+	rows, err := sw.Run(j.Done(), j.Record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +35,9 @@ func runJournaledSweep(t *testing.T, path string, hdr RunHeader, sched *faults.S
 // point, including mid-record) must reopen to a valid prefix, and the
 // resumed sweep must reproduce the uninterrupted rows bit for bit.
 func TestRunJournalKillAndResumeBitIdentical(t *testing.T) {
-	sched := journalSched(t)
-	seeds := []uint64{1, 2}
-	opts := SweepOptions{Checkpoint: "nfs"}
-	hdr := RunHeader{Spec: sched.String(), Scale: uint8(Small), Seeds: seeds, Checkpoint: "nfs"}
-
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.journal")
-	want := runJournaledSweep(t, full, hdr, sched, seeds, opts)
+	want := runJournaledSweep(t, full, checkpointSweep)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +52,7 @@ func TestRunJournalKillAndResumeBitIdentical(t *testing.T) {
 		if err := os.WriteFile(trunc, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got := runJournaledSweep(t, trunc, hdr, sched, seeds, opts)
+		got := runJournaledSweep(t, trunc, checkpointSweep)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut at byte %d of %d: resumed rows differ\ngot:  %+v\nwant: %+v",
 				cut, len(data), got, want)
@@ -72,7 +61,7 @@ func TestRunJournalKillAndResumeBitIdentical(t *testing.T) {
 
 	// The final cut (the complete journal) resumes every cell without
 	// recomputing anything.
-	j, err := OpenRunJournal(full, hdr)
+	j, err := OpenRunJournal(full, checkpointSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,22 +74,42 @@ func TestRunJournalKillAndResumeBitIdentical(t *testing.T) {
 // TestRunJournalRejectsMismatchedHeader: resuming under different sweep
 // parameters must fail loudly, not silently mix incomparable rows.
 func TestRunJournalRejectsMismatchedHeader(t *testing.T) {
-	sched := journalSched(t)
-	seeds := []uint64{1}
-	hdr := RunHeader{Spec: sched.String(), Scale: uint8(Small), Seeds: seeds}
+	sw := Sweep{Kind: KindFaults, Spec: DefaultFaultSpec, Scale: Small, Seeds: 1}
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	runJournaledSweep(t, path, hdr, sched, seeds, SweepOptions{})
+	runJournaledSweep(t, path, sw)
 
-	for _, bad := range []RunHeader{
-		{Spec: "seed=9", Scale: uint8(Small), Seeds: seeds},
-		{Spec: hdr.Spec, Scale: uint8(Paper), Seeds: seeds},
-		{Spec: hdr.Spec, Scale: uint8(Small), Seeds: []uint64{1, 2}},
-		{Spec: hdr.Spec, Scale: uint8(Small), Seeds: seeds, Checkpoint: "nfs"},
+	with := func(edit func(*Sweep)) Sweep {
+		s := sw
+		edit(&s)
+		return s
+	}
+	for _, bad := range []Sweep{
+		with(func(s *Sweep) { s.Kind = KindNet }),
+		with(func(s *Sweep) { s.Spec = "seed=9" }),
+		with(func(s *Sweep) { s.Scale = Paper }),
+		with(func(s *Sweep) { s.Seeds = 2 }),
+		with(func(s *Sweep) { s.Checkpoint = "nfs" }),
+		with(func(s *Sweep) { s.Advise = true }),
 	} {
 		if _, err := OpenRunJournal(path, bad); err == nil {
-			t.Errorf("header %+v accepted a journal written under %+v", bad, hdr)
+			t.Errorf("sweep %+v accepted a journal written under %+v", bad, sw)
 		}
+	}
+
+	// A journal written before the sweep header carried its kind, seed
+	// count, and advice setting is refused too.
+	old := filepath.Join(t.TempDir(), "faultsweep.journal")
+	f, err := os.Create(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.NewWriter(f).Append([]byte(`{"spec":"seed=1;crash=node0@40;ioerr=nfs:0.02","scale":1,"seeds":[1]}`)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := OpenRunJournal(old, sw); err == nil {
+		t.Error("a journal with the old header format was accepted")
 	}
 }
 
@@ -109,13 +118,11 @@ func TestRunJournalRejectsMismatchedHeader(t *testing.T) {
 // cells must show strictly fewer producer re-runs and strictly lower
 // recovery time than the recovery-only cells of the same (workflow, seed).
 func TestFaultSweepCheckpointBeatsRecovery(t *testing.T) {
-	sched := journalSched(t)
-	seeds := []uint64{1, 2}
-	rows, err := FaultSweepResumable(Small, sched, seeds, SweepOptions{Checkpoint: "nfs"}, nil, nil)
+	rows, err := checkpointSweep.Run(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[RowKey]FaultSweepRow{}
+	byKey := map[RowKey]SweepRow{}
 	for _, r := range rows {
 		if r.Err != "" {
 			t.Fatalf("%s/%d/%s did not recover: %s", r.Workflow, r.Seed, r.Mode, r.Err)
@@ -126,7 +133,7 @@ func TestFaultSweepCheckpointBeatsRecovery(t *testing.T) {
 	// node-local intermediates, which is where checkpoints pay.
 	improved := 0
 	for _, wf := range []string{"rerun", "ddmd"} {
-		for _, seed := range seeds {
+		for _, seed := range []uint64{1, 2} {
 			rec, ok := byKey[RowKey{wf, seed, ModeRecovery}]
 			if !ok {
 				t.Fatalf("missing recovery row for %s/%d", wf, seed)

@@ -612,29 +612,6 @@ func CrashProbability(crashesPerHour, windowSeconds float64) float64 {
 	return 1 - math.Exp(-crashesPerHour*windowSeconds/3600)
 }
 
-// LossRetransmitFactor returns the expected transfer inflation for a link
-// with per-chunk loss probability p: every chunk is sent 1/(1-p) times on
-// average, so a staged copy across the link costs that multiple of its
-// nominal bytes and time. The advisor uses it to weigh staging across a
-// lossy WAN against recomputing locally, the way CrashProbability prices
-// volatile-tier placement.
-func LossRetransmitFactor(p float64) float64 {
-	if p <= 0 || math.IsNaN(p) {
-		return 1
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return 1 / (1 - p)
-}
-
-// PartitionProbability returns 1-exp(-rate*window): the chance a network
-// partition opens at least once while a transfer is in flight, given a
-// partition rate in cuts per hour. The CrashProbability analogue for links.
-func PartitionProbability(cutsPerHour, windowSeconds float64) float64 {
-	return CrashProbability(cutsPerHour, windowSeconds)
-}
-
 // mix is the splitmix64 finalizer: a full-avalanche 64-bit mixer.
 func mix(x uint64) uint64 {
 	x ^= x >> 30

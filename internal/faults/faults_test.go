@@ -263,21 +263,3 @@ func TestLinkDrawsDeterministicAndBounded(t *testing.T) {
 		t.Fatalf("jitter draws outside [0,1): min %v max %v", lo, hi)
 	}
 }
-
-func TestLossRetransmitFactor(t *testing.T) {
-	if f := LossRetransmitFactor(0); f != 1 {
-		t.Fatalf("no loss gives factor %v", f)
-	}
-	if f := LossRetransmitFactor(0.5); f != 2 {
-		t.Fatalf("50%% loss gives factor %v, want 2", f)
-	}
-	if f := LossRetransmitFactor(math.NaN()); f != 1 {
-		t.Fatalf("NaN gives factor %v, want 1", f)
-	}
-	if f := LossRetransmitFactor(1); !math.IsInf(f, 1) {
-		t.Fatalf("total loss gives factor %v, want +Inf", f)
-	}
-	if p := PartitionProbability(1, 3600); math.Abs(p-(1-1/math.E)) > 1e-12 {
-		t.Fatalf("one expected cut per window gives %v, want 1-1/e", p)
-	}
-}

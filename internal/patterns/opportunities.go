@@ -97,53 +97,36 @@ func (o Opportunity) String() string {
 
 // Config tunes detector thresholds. Zero values select defaults.
 type Config struct {
-	// VolumeFraction flags flows whose volume exceeds this fraction of the
-	// total graph volume (default 0.10).
-	VolumeFraction float64
-	// RateMismatchFactor flags producer/consumer rate ratios beyond this
-	// factor (default 3).
-	RateMismatchFactor float64
-	// NonUseFraction flags consumers whose footprint is below this fraction
-	// of the file size (default 0.9).
-	NonUseFraction float64
-	// LocalityFraction flags flows whose zero- or small-distance fraction
-	// exceeds this value (default 0.5).
-	LocalityFraction float64
-	// ReuseThreshold flags flows with volume/footprint above this (default 1.5).
-	ReuseThreshold float64
-	// AggregatorCV is the maximum coefficient of variation for "similar
-	// size" aggregator inputs (default 1.0).
-	AggregatorCV float64
-	// CompressRatio is the output/input ratio under which an aggregator is a
-	// compressor (default 0.8).
-	CompressRatio float64
 	// ParallelismInDegree is the consumer in-degree that triggers the
 	// trade-off pattern (default 4).
 	ParallelismInDegree int
 }
 
+// Detector thresholds.
+const (
+	// volumeFraction flags flows whose volume exceeds this fraction of the
+	// total graph volume.
+	volumeFraction = 0.10
+	// rateMismatchFactor flags producer/consumer rate ratios beyond this
+	// factor.
+	rateMismatchFactor = 3
+	// nonUseFraction flags consumers whose footprint is below this fraction
+	// of the file size.
+	nonUseFraction = 0.9
+	// localityFraction flags flows whose zero- or small-distance fraction
+	// exceeds this value.
+	localityFraction = 0.5
+	// reuseThreshold flags flows with volume/footprint above this.
+	reuseThreshold = 1.5
+	// aggregatorCV is the maximum coefficient of variation for "similar
+	// size" aggregator inputs.
+	aggregatorCV = 1.0
+	// compressRatio is the output/input ratio under which an aggregator is a
+	// compressor.
+	compressRatio = 0.8
+)
+
 func (c Config) withDefaults() Config {
-	if c.VolumeFraction == 0 {
-		c.VolumeFraction = 0.10
-	}
-	if c.RateMismatchFactor == 0 {
-		c.RateMismatchFactor = 3
-	}
-	if c.NonUseFraction == 0 {
-		c.NonUseFraction = 0.9
-	}
-	if c.LocalityFraction == 0 {
-		c.LocalityFraction = 0.5
-	}
-	if c.ReuseThreshold == 0 {
-		c.ReuseThreshold = 1.5
-	}
-	if c.AggregatorCV == 0 {
-		c.AggregatorCV = 1.0
-	}
-	if c.CompressRatio == 0 {
-		c.CompressRatio = 0.8
-	}
 	if c.ParallelismInDegree == 0 {
 		c.ParallelismInDegree = 4
 	}
@@ -163,14 +146,14 @@ func Analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config) []Opportunity {
 	inScope := func(id dfl.ID) bool { return cat == nil || cat.Contains(id) }
 
 	detectors := []func() []Opportunity{
-		func() []Opportunity { return detectDataVolume(g, inScope, cfg) },
-		func() []Opportunity { return detectMismatchedRate(g, inScope, cfg) },
-		func() []Opportunity { return detectDataNonUse(g, inScope, cfg) },
-		func() []Opportunity { return detectIntraTaskLocality(g, inScope, cfg) },
-		func() []Opportunity { return detectInterTaskLocality(g, inScope, cfg) },
+		func() []Opportunity { return detectDataVolume(g, inScope) },
+		func() []Opportunity { return detectMismatchedRate(g, inScope) },
+		func() []Opportunity { return detectDataNonUse(g, inScope) },
+		func() []Opportunity { return detectIntraTaskLocality(g, inScope) },
+		func() []Opportunity { return detectInterTaskLocality(g, inScope) },
 		func() []Opportunity { return detectCriticalFlow(g, cat) },
 		func() []Opportunity { return detectParallelismTradeoff(g, inScope, cfg) },
-		func() []Opportunity { return detectTaskCompositions(g, inScope, cfg) },
+		func() []Opportunity { return detectTaskCompositions(g, inScope) },
 	}
 	// Warm the graph's indexed core before fanning out, so the workers share
 	// one snapshot instead of racing to build it.
@@ -201,12 +184,12 @@ func newOpp(k Kind, sev float64, detail string, mustValidate bool, vs ...dfl.ID)
 
 // detectDataVolume flags flows whose volume exceeds a fraction of total flow
 // (Table 1 row 1: volumes exceeding storage or network ability).
-func detectDataVolume(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectDataVolume(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	total := g.TotalVolume()
 	if total == 0 {
 		return nil
 	}
-	thresh := uint64(float64(total) * cfg.VolumeFraction)
+	thresh := uint64(float64(total) * volumeFraction)
 	var out []Opportunity
 	for _, e := range g.Edges() {
 		if !inScope(e.Src) || !inScope(e.Dst) {
@@ -224,7 +207,7 @@ func detectDataVolume(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opp
 
 // detectMismatchedRate compares producer vs consumer data rates per data
 // vertex (Table 1 row 2).
-func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	var out []Opportunity
 	for _, v := range g.DataFiles() {
 		if !inScope(v.ID) {
@@ -244,7 +227,7 @@ func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) [
 		if ratio < 1 {
 			ratio = 1 / ratio
 		}
-		if ratio >= cfg.RateMismatchFactor {
+		if ratio >= rateMismatchFactor {
 			vol := float64(0)
 			for _, e := range g.Out(v.ID) {
 				vol += float64(e.Props.Volume)
@@ -261,7 +244,7 @@ func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) [
 // detectDataNonUse finds (a) data leaf vertices with producers but no
 // consumers and (b) consumer flows whose footprint is well below the file
 // size (Table 1 row 3).
-func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	var out []Opportunity
 	for _, v := range g.DataFiles() {
 		if !inScope(v.ID) {
@@ -278,7 +261,7 @@ func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opp
 				continue
 			}
 			frac := float64(e.Props.Footprint) / float64(v.Data.Size)
-			if frac < cfg.NonUseFraction {
+			if frac < nonUseFraction {
 				unused := float64(v.Data.Size) - float64(e.Props.Footprint)
 				out = append(out, newOpp(DataNonUse, unused,
 					fmt.Sprintf("consumer %s touches %.0f%% of %d B file",
@@ -292,14 +275,14 @@ func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opp
 
 // detectIntraTaskLocality flags consumer flows with strong spatial locality
 // (small consecutive access distances) or temporal reuse (Table 1 row 4).
-func detectIntraTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectIntraTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	var out []Opportunity
 	for _, e := range g.Edges() {
 		if e.Kind != dfl.Consumer || !inScope(e.Src) || !inScope(e.Dst) {
 			continue
 		}
-		spatial := e.Props.SmallDistFrac >= cfg.LocalityFraction
-		reuse := e.Props.ReuseFactor() >= cfg.ReuseThreshold
+		spatial := e.Props.SmallDistFrac >= localityFraction
+		reuse := e.Props.ReuseFactor() >= reuseThreshold
 		if !spatial && !reuse {
 			continue
 		}
@@ -325,7 +308,7 @@ func detectIntraTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config
 // (Table 1 row 5: case 1/3 — multiple consumers share one file — and case 2
 // — instances of the same task template access the same data, e.g. control
 // loops).
-func detectInterTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectInterTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	var out []Opportunity
 	for _, v := range g.DataFiles() {
 		if !inScope(v.ID) {
@@ -417,7 +400,7 @@ func detectParallelismTradeoff(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Conf
 // detectTaskCompositions finds the §5.3–5.4 task-relation patterns:
 // aggregators, compressor-aggregators, splitters, and aggregator-then-regular
 // compositions.
-func detectTaskCompositions(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectTaskCompositions(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 	var out []Opportunity
 	for _, v := range g.Tasks() {
 		if !inScope(v.ID) {
@@ -443,12 +426,12 @@ func detectTaskCompositions(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config)
 				sizes = append(sizes, float64(e.Props.Volume))
 				inVol += float64(e.Props.Volume)
 			}
-			if cv := coeffVar(sizes); cv <= cfg.AggregatorCV {
+			if cv := coeffVar(sizes); cv <= aggregatorCV {
 				var outVol float64
 				for _, e := range g.Out(v.ID) {
 					outVol += float64(e.Props.Volume)
 				}
-				if inVol > 0 && outVol > 0 && outVol/inVol < cfg.CompressRatio {
+				if inVol > 0 && outVol > 0 && outVol/inVol < compressRatio {
 					out = append(out, newOpp(CompressorAggregator, inVol,
 						fmt.Sprintf("combines %d inputs (%.4g B) into %.4g B (%.1f%% ratio)",
 							in, inVol, outVol, 100*outVol/inVol), false, v.ID))

@@ -620,13 +620,13 @@ func (e *Engine) Run(w *Workload) (*Result, error) {
 		}
 	}
 	if err := e.initFaults(); err != nil {
-		return nil, err
+		return nil, configError{err}
 	}
 	if err := e.initTopology(); err != nil {
-		return nil, err
+		return nil, configError{err}
 	}
 	if err := e.initCheckpoint(); err != nil {
-		return nil, err
+		return nil, configError{err}
 	}
 	e.unfin = len(w.Tasks)
 	for _, ts := range e.order { // preserve submission order for determinism

@@ -47,7 +47,9 @@ func (k FailureKind) Retryable() bool {
 // check a run's failure class without unpacking the *TaskError, e.g.
 // errors.Is(err, sim.ErrNodeCrash).
 var (
-	// ErrConfig matches TaskErrors with Kind FailConfig.
+	// ErrConfig matches TaskErrors with Kind FailConfig, and the setup
+	// errors Engine.Run returns before the first event when the fault
+	// schedule, topology, or checkpoint policy does not fit the cluster.
 	ErrConfig = fmt.Errorf("sim: configuration failure")
 	// ErrIO matches TaskErrors with Kind FailIO.
 	ErrIO = fmt.Errorf("sim: I/O failure")
@@ -115,6 +117,14 @@ func (e *TaskError) Is(target error) bool {
 	s := e.Kind.Sentinel()
 	return s != nil && target == s
 }
+
+// configError marks a setup error: Engine.Run met it before the first event.
+// It reads as the wrapped error and matches ErrConfig.
+type configError struct{ err error }
+
+func (c configError) Error() string        { return c.err.Error() }
+func (c configError) Unwrap() error        { return c.err }
+func (c configError) Is(target error) bool { return target == ErrConfig }
 
 // PartitionError is the cause of a FailPartition task failure: the
 // partition cut that severed the op's link path. Reachable through
