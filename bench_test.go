@@ -21,6 +21,7 @@ import (
 	"datalife/internal/cache"
 	"datalife/internal/cpa"
 	"datalife/internal/dfl"
+	"datalife/internal/dfl/dfltest"
 	"datalife/internal/emulator"
 	"datalife/internal/experiments"
 	"datalife/internal/faults"
@@ -459,6 +460,29 @@ func BenchmarkAblation_Advisor(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*plan.LocalityScore(g), "locality-%")
+	}
+}
+
+// BenchmarkAblation_AdvisorLayered measures one advisor query on a graph of
+// serve-mixed's shape and size: the 8,000-task layered DAG (100-task layers,
+// 16 shared inputs, reads from the previous two layers; 16,016 vertices),
+// built directly with dfl. One op is Advise + Report + LocalityScore, what
+// serve's advisor query computes. On this shape the ranked near-critical
+// paths overlap heavily, which is what thread extraction must stay linear in.
+func BenchmarkAblation_AdvisorLayered(b *testing.B) {
+	l := dfltest.NewLayered(1)
+	l.Grow(8000)
+	g := l.G
+	g.Index()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := advisor.Advise(g, advisor.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = plan.Report(20)
+		_ = plan.LocalityScore(g)
 	}
 }
 

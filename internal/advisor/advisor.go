@@ -19,11 +19,9 @@ package advisor
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"datalife/internal/cpa"
 	"datalife/internal/dfl"
@@ -139,14 +137,12 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	if !g.IsDAG() {
 		return nil, fmt.Errorf("advisor: needs a DFL-DAG (acyclic); aggregate templates are not schedulable")
 	}
-	threads := ExtractThreads(g)
+	threads, threadOf, ix := extractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
 	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int)}
-	threadOf := make(map[dfl.ID]int)
 	for _, th := range threads {
 		for _, t := range th.Tasks {
-			threadOf[t] = th.ID
 			plan.TaskNode[t] = th.Node
 		}
 	}
@@ -163,7 +159,7 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 		}
 		opps <- found
 	}()
-	plan.Placements = placeFiles(g, cfg, threads, threadOf)
+	plan.Placements = placeFiles(ix, cfg, threads, threadOf)
 	plan.Opportunities = <-opps
 	return plan, nil
 }
@@ -172,119 +168,171 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 // from near-critical paths in weight order; each unclaimed spine task pulls
 // in its unclaimed producer/consumer neighbours at distance one (through
 // their data vertices), forming a thread. Remaining tasks become singleton
-// threads. Linear in V+E per extracted path.
+// threads. O(V+E) over the whole ranked path set: see extractThreads.
 func ExtractThreads(g *dfl.Graph) []Thread {
+	threads, _, _ := extractThreads(g)
+	return threads
+}
+
+// extractThreads is ExtractThreads over the graph's dense slots. It also
+// returns the snapshot it read and each slot's thread (0 for non-task slots,
+// which no thread claims).
+//
+// The ranked paths overlap heavily: on a layered DAG a path shares all but
+// a short suffix with an earlier one. Paths of different sinks that meet
+// share the whole predecessor chain before the meeting slot, and that chain
+// lay on the earlier path, so its tasks are claimed and its data vertices
+// expanded already. Each path therefore walks back only to the first slot an
+// earlier path contains and claims the new suffix from source to sink, in the
+// order walking the whole path would: every predecessor link is followed at
+// most once, and every data vertex expanded at most once.
+func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 	weight := func(gr *dfl.Graph, e *dfl.Edge) float64 {
 		return localityWeight * float64(e.Props.Volume)
 	}
 	vweight := func(gr *dfl.Graph, v *dfl.Vertex) float64 {
 		return (1 - localityWeight) * v.Task.Lifetime
 	}
-	numTasks := len(g.Tasks())
-	claimed := make(map[dfl.ID]bool)
+	ix := g.Index()
+	n := ix.Len()
+	numTasks := 0
+	for p := int32(0); p < int32(n); p++ {
+		if ix.IDAt(p).Kind == dfl.TaskVertex {
+			numTasks++
+		}
+	}
+	claimed := make([]bool, n)
+	threadOf := make([]int32, n)
 	var threads []Thread
-	addThread := func(tasks []dfl.ID) {
-		if len(tasks) == 0 {
+	var cur *Thread
+	claim := func(p int32) {
+		if claimed[p] || ix.IDAt(p).Kind != dfl.TaskVertex {
 			return
 		}
-		th := Thread{ID: len(threads), Tasks: tasks}
-		threads = append(threads, th)
+		if cur == nil {
+			threads = append(threads, Thread{ID: len(threads)})
+			cur = &threads[len(threads)-1]
+		}
+		claimed[p] = true
+		threadOf[p] = int32(cur.ID)
+		numTasks--
+		v := ix.VertexAt(p)
+		cur.Tasks = append(cur.Tasks, v.ID)
+		cur.Work += v.Task.Lifetime + v.Task.ReadLatency + v.Task.WriteLatency
 	}
 
-	// Stream near-critical paths in rank order, stopping as soon as every
-	// task is claimed: once no task is unclaimed, further paths contribute
-	// empty threads, so halting early leaves the output unchanged while
-	// skipping reconstruction of the long near-critical tail.
-	// (Errors are unreachable for DAGs; on error no paths are yielded and all
-	// tasks fall through to singleton threads, as before.)
-	_ = cpa.ForEachNearCriticalPath(g, weight, vweight, func(p cpa.Path) bool {
-		var tasks []dfl.ID
-		claim := func(id dfl.ID) {
-			if id.Kind == dfl.TaskVertex && !claimed[id] {
-				claimed[id] = true
-				tasks = append(tasks, id)
+	// Errors are unreachable for DAGs; on error there are no paths and all
+	// tasks fall through to singleton threads.
+	if dp, err := cpa.SolvePaths(g, weight, vweight); err == nil {
+		onPath := make([]bool, n)
+		var suffix []int32
+		// Once every task is claimed, further paths would form empty threads.
+		for _, s := range dp.Sinks {
+			if numTasks == 0 {
+				break
+			}
+			suffix = suffix[:0]
+			for p := s; p >= 0 && !onPath[p]; p = dp.Pred[p] {
+				onPath[p] = true
+				suffix = append(suffix, p)
+			}
+			cur = nil
+			for i := len(suffix) - 1; i >= 0; i-- {
+				p := suffix[i]
+				claim(p)
+				if ix.IDAt(p).Kind != dfl.DataVertex {
+					continue
+				}
+				// Pull in the data vertex's other producers and consumers: the
+				// caterpillar legs with direct producer-consumer locality.
+				_, srcs := ix.In(p)
+				for _, q := range srcs {
+					claim(q)
+				}
+				_, dsts := ix.Out(p)
+				for _, q := range dsts {
+					claim(q)
+				}
 			}
 		}
-		for _, id := range p.Vertices {
-			claim(id)
-			if id.Kind != dfl.DataVertex {
-				continue
-			}
-			// Pull in the data vertex's other producers and consumers: the
-			// caterpillar legs with direct producer-consumer locality.
-			for _, e := range g.In(id) {
-				claim(e.Src)
-			}
-			for _, e := range g.Out(id) {
-				claim(e.Dst)
-			}
+	}
+	// Any tasks not reachable from a sink path become singletons, in ID
+	// order.
+	var rest []int32
+	for p := int32(0); p < int32(n); p++ {
+		if !claimed[p] && ix.IDAt(p).Kind == dfl.TaskVertex {
+			rest = append(rest, p)
 		}
-		addThread(tasks)
-		return len(claimed) < numTasks
-	})
-	// Any tasks not reachable from a sink path become singletons.
-	for _, v := range g.Tasks() {
-		if !claimed[v.ID] {
-			claimed[v.ID] = true
-			addThread([]dfl.ID{v.ID})
-		}
+	}
+	sortByID(ix, rest)
+	for _, p := range rest {
+		cur = nil
+		claim(p)
 	}
 
-	// Annotate work and flow locality.
-	threadOf := make(map[dfl.ID]int)
-	for _, th := range threads {
-		for _, t := range th.Tasks {
-			threadOf[t] = th.ID
-		}
-	}
-	for i := range threads {
-		th := &threads[i]
-		for _, t := range th.Tasks {
-			v := g.Vertex(t)
-			th.Work += v.Task.Lifetime + v.Task.ReadLatency + v.Task.WriteLatency
-		}
-	}
-	for _, v := range g.DataFiles() {
-		producers := g.Producers(v.ID)
-		consumers := g.Consumers(v.ID)
-		var vol uint64
-		for _, e := range g.In(v.ID) {
-			vol += e.Props.Volume
-		}
-		for _, e := range g.Out(v.ID) {
-			vol += e.Props.Volume
-		}
-		// Scan producers then consumers in place — no concatenated copy.
-		home, internal := -2, true
-		scan := func(t dfl.ID) {
-			id := threadOf[t]
-			if home == -2 {
-				home = id
-			} else if home != id {
-				internal = false
-			}
-		}
-		for _, t := range producers {
-			scan(t)
-		}
-		for _, t := range consumers {
-			scan(t)
-		}
-		if home < 0 {
+	// Flow locality: a file's flow is internal to a thread when every task
+	// touching it belongs to that thread; otherwise it counts as external for
+	// each distinct producer and each distinct consumer. Sums of integers, so
+	// the file order does not matter.
+	seen := make([]int32, n) // the last 2*file+set+1 stamp that reached each slot
+	for d := int32(0); d < int32(n); d++ {
+		if ix.IDAt(d).Kind != dfl.DataVertex {
 			continue
+		}
+		inE, srcs := ix.In(d)
+		outE, dsts := ix.Out(d)
+		if len(srcs)+len(dsts) == 0 {
+			continue
+		}
+		var vol uint64
+		for _, e := range inE {
+			vol += e.Props.Volume
+		}
+		for _, e := range outE {
+			vol += e.Props.Volume
+		}
+		var home int32
+		if len(srcs) > 0 {
+			home = threadOf[srcs[0]]
+		} else {
+			home = threadOf[dsts[0]]
+		}
+		internal := true
+		for _, q := range srcs {
+			internal = internal && threadOf[q] == home
+		}
+		for _, q := range dsts {
+			internal = internal && threadOf[q] == home
 		}
 		if internal {
 			threads[home].InternalFlow += vol
-		} else {
-			for _, t := range producers {
-				threads[threadOf[t]].ExternalFlow += vol
-			}
-			for _, t := range consumers {
-				threads[threadOf[t]].ExternalFlow += vol
+			continue
+		}
+		for set, peers := range [2][]int32{srcs, dsts} {
+			stamp := 2*d + int32(set) + 1
+			for _, q := range peers {
+				if seen[q] != stamp {
+					seen[q] = stamp
+					threads[threadOf[q]].ExternalFlow += vol
+				}
 			}
 		}
 	}
-	return threads
+	return threads, threadOf, ix
+}
+
+// sortByID sorts slots by vertex ID. Slot order is ID order on a compacted
+// snapshot, so the sort confirms a presorted run there.
+func sortByID(ix *dfl.Index, slots []int32) {
+	slices.SortFunc(slots, func(a, b int32) int { return cmpID(ix.IDAt(a), ix.IDAt(b)) })
+}
+
+// cmpID is the canonical vertex order: tasks before data, names ascending.
+func cmpID(a, b dfl.ID) int {
+	if a.Kind != b.Kind {
+		return int(a.Kind) - int(b.Kind)
+	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // BalanceThreads assigns threads to nodes with longest-processing-time-first
@@ -313,120 +361,123 @@ func BalanceThreads(threads []Thread, nodes int) {
 	}
 }
 
-// placeFilesParallelMin is the file count below which placement scoring stays
-// sequential; tiny graphs don't amortize the worker handoff.
-const placeFilesParallelMin = 64
-
-// placeFiles classifies every data vertex. Scoring is embarrassingly parallel
-// — each file's placement depends only on the (read-only) graph and thread
-// map — so large graphs fan the per-file work across a worker pool. The merge
-// is deterministic: worker i writes slot i of a pre-sized slice, and the
-// final sort sees the exact sequence the sequential loop produced.
-func placeFiles(g *dfl.Graph, cfg Config, threads []Thread, threadOf map[dfl.ID]int) []FilePlacement {
-	nodeOfThread := make(map[int]int, len(threads))
-	for _, th := range threads {
-		nodeOfThread[th.ID] = th.Node
+// placeFiles classifies every data vertex of the snapshot, given each slot's
+// thread. Files are scored in ID order: the final sort by volume is not
+// stable, so its input order is part of the output.
+func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) []FilePlacement {
+	var files []int32
+	for p := int32(0); p < int32(ix.Len()); p++ {
+		if ix.IDAt(p).Kind == dfl.DataVertex {
+			files = append(files, p)
+		}
 	}
-	files := g.DataFiles()
 	if len(files) == 0 {
 		return nil
 	}
+	sortByID(ix, files)
 	out := make([]FilePlacement, len(files))
-	score := func(i int) {
-		v := files[i]
-		producers := g.Producers(v.ID)
-		consumers := g.Consumers(v.ID)
+	seen := make([]int32, ix.Len())      // distinct-peer stamps: 2*file+1 consumers, 2*file+2 producers
+	nodeSeen := make([]int32, cfg.Nodes) // the last file+1 that touched each node
+	var producers []int32
+	for i, d := range files {
+		v := ix.VertexAt(d)
+		inE, srcs := ix.In(d)
+		outE, dsts := ix.Out(d)
 		var vol uint64
-		for _, e := range g.In(v.ID) {
+		for _, e := range inE {
 			vol += e.Props.Volume
 		}
-		for _, e := range g.Out(v.ID) {
+		for _, e := range outE {
 			vol += e.Props.Volume
 		}
-		fp := FilePlacement{File: v.ID, Thread: -1, Consumers: len(consumers), Volume: vol}
-
-		// Which nodes touch this file? Scan producers then consumers in
-		// place — no concatenated copy.
-		nodes := make(map[int]struct{})
-		sameThread := true
-		home := -1
-		touch := func(t dfl.ID) {
-			th := threadOf[t]
-			if home == -1 {
-				home = th
-			} else if th != home {
-				sameThread = false
+		consumers := 0
+		for _, q := range dsts {
+			if seen[q] != int32(2*i+1) {
+				seen[q] = int32(2*i + 1)
+				consumers++
 			}
-			nodes[nodeOfThread[th]] = struct{}{}
 		}
-		for _, t := range producers {
-			touch(t)
-		}
-		for _, t := range consumers {
-			touch(t)
+		fp := FilePlacement{File: v.ID, Thread: -1, Consumers: consumers, Volume: vol}
+
+		// Which nodes touch this file, and do its tasks share one thread?
+		nodes, sameThread, home := 0, true, int32(-1)
+		for _, peers := range [2][]int32{srcs, dsts} {
+			for _, q := range peers {
+				th := threadOf[q]
+				if home < 0 {
+					home = th
+				} else if th != home {
+					sameThread = false
+				}
+				if nd := threads[th].Node; nodeSeen[nd] != int32(i+1) {
+					nodeSeen[nd] = int32(i + 1)
+					nodes++
+				}
+			}
 		}
 		switch {
-		case len(producers) == 0 && len(consumers) >= stageThreshold:
+		case len(srcs) == 0 && consumers >= stageThreshold:
 			// Read-only input with wide fan-out: the 1000 Genomes columns
 			// pattern — stage a copy per consuming node.
 			fp.Class = StagedCopy
 			fp.Why = fmt.Sprintf("read-only input with %d consumers across %d node(s): duplicated, congested flow",
-				len(consumers), len(nodes))
+				consumers, nodes)
 		case home >= 0 && sameThread:
 			fp.Class = NodeLocal
-			fp.Thread = home
+			fp.Thread = int(home)
 			fp.Why = fmt.Sprintf("all producer-consumer flow stays inside thread %d", home)
-		case len(nodes) == 1 && home >= 0:
-			// Different threads, but balanced onto the same node.
+		case nodes == 1 && home >= 0:
+			// Different threads, but balanced onto the same node. The plan
+			// names the thread of the first task in ID order.
 			fp.Class = NodeLocal
-			fp.Thread = home
+			fp.Thread = int(threadOf[firstByID(ix, srcs, dsts)])
 			fp.Why = "all accessing threads share one node"
 		default:
 			fp.Class = SharedFS
-			fp.Why = fmt.Sprintf("crosses %d node(s); keep on shared storage", len(nodes))
+			fp.Why = fmt.Sprintf("crosses %d node(s); keep on shared storage", nodes)
 		}
 		if cfg.CrashesPerHour > 0 && fp.Class != SharedFS {
 			// Volatile placement: price the crash exposure over the file's
 			// lifetime window. Losing the data forces either a re-stage or a
 			// producer re-run, so the expected cost is the producers'
-			// execution time weighted by the crash probability.
+			// execution time weighted by the crash probability, summed in ID
+			// order because float addition depends on order.
 			fp.RerunRisk = faults.CrashProbability(cfg.CrashesPerHour, v.Data.Lifetime)
+			producers = producers[:0]
+			for _, q := range srcs {
+				if seen[q] != int32(2*i+2) {
+					seen[q] = int32(2*i + 2)
+					producers = append(producers, q)
+				}
+			}
+			sortByID(ix, producers)
 			var rerun float64
-			for _, t := range producers {
-				rerun += g.Vertex(t).Task.Lifetime
+			for _, q := range producers {
+				rerun += ix.VertexAt(q).Task.Lifetime
 			}
 			fp.RerunCost = fp.RerunRisk * rerun
 		}
 		out[i] = fp
 	}
-	if len(files) < placeFilesParallelMin {
-		for i := range files {
-			score(i)
-		}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(files) {
-			workers = len(files)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(files) {
-						return
-					}
-					score(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Volume > out[j].Volume })
 	return out
+}
+
+// firstByID returns the producer with the smallest ID, or the consumer with
+// the smallest ID when there is no producer: the first task a scan of the
+// sorted producer and consumer sets meets.
+func firstByID(ix *dfl.Index, srcs, dsts []int32) int32 {
+	peers := srcs
+	if len(peers) == 0 {
+		peers = dsts
+	}
+	first := peers[0]
+	for _, q := range peers[1:] {
+		if cmpID(ix.IDAt(q), ix.IDAt(first)) < 0 {
+			first = q
+		}
+	}
+	return first
 }
 
 // Report renders the plan.
@@ -462,21 +513,29 @@ func (p *Plan) Report(limit int) string {
 // LocalityScore summarizes the plan: the fraction of total flow volume that
 // stays node-local under the plan (higher is better).
 func (p *Plan) LocalityScore(g *dfl.Graph) float64 {
-	// A flow is local when the file is NodeLocal/StagedCopy or all accessing
-	// tasks share the file's node.
-	class := make(map[dfl.ID]TierClass, len(p.Placements))
+	// A flow is local when its file is placed NodeLocal or StagedCopy. One
+	// pass over the out-edges with a class per slot; the sums are integers,
+	// so the edge order does not matter.
+	ix := g.Index()
+	class := make([]TierClass, ix.Len())
 	for _, fp := range p.Placements {
-		class[fp.File] = fp.Class
+		if s := ix.Pos(fp.File); s >= 0 {
+			class[s] = fp.Class
+		}
 	}
 	var local, total uint64
-	for _, e := range g.Edges() {
-		total += e.Props.Volume
-		data := e.Src
-		if data.Kind != dfl.DataVertex {
-			data = e.Dst
-		}
-		if class[data] != SharedFS {
-			local += e.Props.Volume
+	for s := int32(0); s < int32(len(class)); s++ {
+		srcIsData := ix.IDAt(s).Kind == dfl.DataVertex
+		edges, dsts := ix.Out(s)
+		for k, e := range edges {
+			total += e.Props.Volume
+			data := dsts[k]
+			if srcIsData {
+				data = s
+			}
+			if class[data] != SharedFS {
+				local += e.Props.Volume
+			}
 		}
 	}
 	if total == 0 {

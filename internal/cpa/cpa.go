@@ -119,66 +119,57 @@ func (p Path) Contains(id dfl.ID) bool {
 // given edge and vertex weights via one topological dynamic program — O(V+E).
 // Either weight may be nil to ignore that component.
 func CriticalPath(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (Path, error) {
-	dp, err := solvePaths(g, ew, vw)
+	dp, err := SolvePaths(g, ew, vw)
 	if err != nil {
 		return Path{}, err
 	}
-	if dp == nil || len(dp.sinks) == 0 {
+	if len(dp.Sinks) == 0 {
 		return Path{}, fmt.Errorf("cpa: empty graph")
 	}
-	return dp.path(0), nil
+	return dp.Path(0), nil
 }
 
 // NearCriticalPaths returns up to k maximal paths ranked by weight, one per
 // distinct sink — the paper's "critical and near-critical" caterpillar
-// candidates. Only the k requested paths are materialized; enumeration stops
-// at the requested rank.
+// candidates. Only the k requested paths are materialized.
 func NearCriticalPaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight, k int) ([]Path, error) {
-	dp, err := solvePaths(g, ew, vw)
-	if err != nil || dp == nil {
+	dp, err := SolvePaths(g, ew, vw)
+	if err != nil || len(dp.Sinks) == 0 {
 		return nil, err
 	}
-	if k > len(dp.sinks) {
-		k = len(dp.sinks)
+	if k > len(dp.Sinks) {
+		k = len(dp.Sinks)
 	}
 	out := make([]Path, 0, k)
 	for i := 0; i < k; i++ {
-		out = append(out, dp.path(i))
+		out = append(out, dp.Path(i))
 	}
 	return out, nil
 }
 
-// ForEachNearCriticalPath streams the ranked maximal paths (one per sink,
-// heaviest first) to yield, reconstructing each path only when it is asked
-// for; returning false stops the enumeration. Callers that consume a prefix
-// of unknown length — the advisor claims tasks until every task is covered —
-// avoid materializing the long tail of near-critical paths this way.
-func ForEachNearCriticalPath(g *dfl.Graph, ew EdgeWeight, vw VertexWeight, yield func(Path) bool) error {
-	dp, err := solvePaths(g, ew, vw)
-	if err != nil || dp == nil {
-		return err
-	}
-	for i := range dp.sinks {
-		if !yield(dp.path(i)) {
-			return nil
-		}
-	}
-	return nil
+// PathDP is one solved GCPA dynamic program over a graph snapshot's dense
+// slots. The i-th ranked path (NearCriticalPaths' path i) is the predecessor
+// chain from Sinks[i] back to a source. Paths of different sinks that meet
+// share the whole chain before the meeting slot, so a caller walking every
+// ranked path can stop each walk at the first slot an earlier walk reached.
+// The slices are shared — do not modify.
+type PathDP struct {
+	// Index is the snapshot the program was solved on; slots index it.
+	Index *dfl.Index
+	// Sinks lists the slots without outgoing edges, heaviest path first
+	// (ties by ID string).
+	Sinks []int32
+	// Pred is each slot's predecessor on the heaviest path into it, or -1
+	// at a source.
+	Pred []int32
+
+	dist []float64
 }
 
-// pathDP holds one solved GCPA dynamic program over the graph's dense index:
-// accumulated weights, predecessor choices, and the sinks in rank order.
-type pathDP struct {
-	ix    *dfl.Index
-	dist  []float64
-	pred  []int32 // -1 = source
-	sinks []int32 // ranked by (weight desc, ID string asc)
-}
-
-// solvePaths runs the maximum-weight topological DP once — O(V+E) over the
-// indexed core, with dense slices instead of per-vertex maps. A nil, nil
-// return means the graph is empty.
-func solvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*pathDP, error) {
+// SolvePaths runs the maximum-weight topological DP once — O(V+E) over the
+// indexed core, with dense slices instead of per-vertex maps. Either weight
+// may be nil to ignore that component. An empty graph has no sinks.
+func SolvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*PathDP, error) {
 	if ew == nil {
 		ew = ZeroEdge
 	}
@@ -191,9 +182,6 @@ func solvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*pathDP, error) {
 		return nil, fmt.Errorf("cpa: critical path needs a DAG: %w", err)
 	}
 	n := ix.Len()
-	if n == 0 {
-		return nil, nil
-	}
 	dist := make([]float64, n)
 	pred := make([]int32, n)
 	for i := range pred {
@@ -225,21 +213,21 @@ func solvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*pathDP, error) {
 		}
 		return ix.IDAt(sinks[i]).String() < ix.IDAt(sinks[j]).String()
 	})
-	return &pathDP{ix: ix, dist: dist, pred: pred, sinks: sinks}, nil
+	return &PathDP{Index: ix, Sinks: sinks, Pred: pred, dist: dist}, nil
 }
 
-// path reconstructs the i-th ranked path by walking predecessors from its
+// Path reconstructs the i-th ranked path by walking predecessors from its
 // sink.
-func (dp *pathDP) path(i int) Path {
-	s := dp.sinks[i]
+func (dp *PathDP) Path(i int) Path {
+	s := dp.Sinks[i]
 	depth := 1
-	for cur := s; dp.pred[cur] >= 0; cur = dp.pred[cur] {
+	for cur := s; dp.Pred[cur] >= 0; cur = dp.Pred[cur] {
 		depth++
 	}
 	vs := make([]dfl.ID, depth)
-	for cur, at := s, depth-1; ; cur, at = dp.pred[cur], at-1 {
-		vs[at] = dp.ix.IDAt(cur)
-		if dp.pred[cur] < 0 {
+	for cur, at := s, depth-1; ; cur, at = dp.Pred[cur], at-1 {
+		vs[at] = dp.Index.IDAt(cur)
+		if dp.Pred[cur] < 0 {
 			break
 		}
 	}
@@ -295,6 +283,91 @@ func (c *Caterpillar) Members() []dfl.ID {
 	}
 	sortIDs(out)
 	return out
+}
+
+// Scope returns the caterpillar's member tasks and data vertices, each sorted
+// by ID, and the edges with both ends in the caterpillar, sorted by (src, dst)
+// with duplicate edges in insertion order: g.Tasks(), g.DataFiles() and
+// g.Edges() filtered by Contains, reading only the members and their
+// out-edges. (On an O(delta) snapshot, g.Edges() may order the duplicates of
+// an edge added since the last compaction differently; opportunities from
+// duplicates that tie on severity and text are identical, so Analyze's
+// output does not depend on it.) A caterpillar built on an older snapshot
+// than g's current one gets the filtered whole-graph scan instead, since its
+// adjacency may be out of date.
+func (c *Caterpillar) Scope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*dfl.Edge) {
+	ix := g.Index()
+	if c.ix != ix {
+		return c.filterScope(g)
+	}
+	members := make([]int32, 0, c.n)
+	for p, in := range c.member {
+		if in {
+			members = append(members, int32(p))
+		}
+	}
+	// Slot order is ID order on a compacted snapshot, so the sort confirms
+	// a presorted run there.
+	slices.SortFunc(members, func(a, b int32) int { return cmpID(ix.IDAt(a), ix.IDAt(b)) })
+	rank := make([]int32, ix.Len())
+	verts := make([]*dfl.Vertex, len(members))
+	nt := 0
+	for i, p := range members {
+		rank[p] = int32(i)
+		verts[i] = ix.VertexAt(p)
+		if verts[i].ID.Kind == dfl.TaskVertex {
+			nt = i + 1
+		}
+	}
+	type ranked struct {
+		e        *dfl.Edge
+		src, dst int32
+	}
+	var inner []ranked
+	for _, p := range members {
+		out, dsts := ix.Out(p)
+		for k, d := range dsts {
+			if c.member[d] {
+				inner = append(inner, ranked{out[k], rank[p], rank[d]})
+			}
+		}
+	}
+	// Out-lists are in insertion order, so a stable sort keeps duplicate
+	// edges in it, as the canonical edge order does.
+	slices.SortStableFunc(inner, func(a, b ranked) int {
+		if a.src != b.src {
+			return int(a.src - b.src)
+		}
+		return int(a.dst - b.dst)
+	})
+	if len(inner) > 0 {
+		edges = make([]*dfl.Edge, len(inner))
+		for i, r := range inner {
+			edges[i] = r.e
+		}
+	}
+	return verts[:nt:nt], verts[nt:], edges
+}
+
+// filterScope is Scope's whole-graph form: g's canonical lists filtered by
+// Contains.
+func (c *Caterpillar) filterScope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*dfl.Edge) {
+	for _, v := range g.Tasks() {
+		if c.Contains(v.ID) {
+			tasks = append(tasks, v)
+		}
+	}
+	for _, v := range g.DataFiles() {
+		if c.Contains(v.ID) {
+			data = append(data, v)
+		}
+	}
+	for _, e := range g.Edges() {
+		if c.Contains(e.Src) && c.Contains(e.Dst) {
+			edges = append(edges, e)
+		}
+	}
+	return tasks, data, edges
 }
 
 // DFLCaterpillar builds the DFL caterpillar tree around a critical path:
@@ -509,14 +582,15 @@ func (c *Caterpillar) IsCaterpillarTree(g *dfl.Graph) bool {
 	return true
 }
 
-func sortIDs(ids []dfl.ID) {
-	slices.SortFunc(ids, func(a, b dfl.ID) int {
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
+// cmpID is the canonical vertex order: tasks before data, names ascending.
+func cmpID(a, b dfl.ID) int {
+	if a.Kind != b.Kind {
+		return int(a.Kind) - int(b.Kind)
+	}
+	return strings.Compare(a.Name, b.Name)
 }
+
+func sortIDs(ids []dfl.ID) { slices.SortFunc(ids, cmpID) }
 
 // PathEdges returns the edges along a path, in order. Missing edges (possible
 // only on malformed paths) are skipped.

@@ -3,7 +3,6 @@ package patterns
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"datalife/internal/cpa"
 	"datalife/internal/dfl"
@@ -134,45 +133,30 @@ func (c Config) withDefaults() Config {
 }
 
 // Analyze runs every Table 1 detector over the graph. When cat is non-nil the
-// search is narrowed to the caterpillar tree (§5.1); otherwise the whole
-// graph is scanned. Results are ranked by severity.
-//
-// The detectors are independent read-only passes, so they run concurrently;
-// each writes a fixed slot, the slots are concatenated in declaration order,
-// and the final stable sort sees the exact sequence the sequential loop
-// produced — output is byte-identical regardless of scheduling.
+// search is narrowed to the caterpillar tree (§5.1): the detectors visit only
+// its member vertices and the edges between them (Caterpillar.Scope);
+// otherwise the whole graph is scanned. Results are ranked by severity.
 func Analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config) []Opportunity {
+	tasks, data, edges := g.Tasks(), g.DataFiles(), g.Edges()
+	if cat != nil {
+		tasks, data, edges = cat.Scope(g)
+	}
+	return analyze(g, cat, cfg, tasks, data, edges)
+}
+
+// analyze runs the detectors over the given vertex and edge lists, which are
+// in canonical order, and ranks the concatenated findings.
+func analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config, tasks, data []*dfl.Vertex, edges []*dfl.Edge) []Opportunity {
 	cfg = cfg.withDefaults()
-	inScope := func(id dfl.ID) bool { return cat == nil || cat.Contains(id) }
-
-	detectors := []func() []Opportunity{
-		func() []Opportunity { return detectDataVolume(g, inScope) },
-		func() []Opportunity { return detectMismatchedRate(g, inScope) },
-		func() []Opportunity { return detectDataNonUse(g, inScope) },
-		func() []Opportunity { return detectIntraTaskLocality(g, inScope) },
-		func() []Opportunity { return detectInterTaskLocality(g, inScope) },
-		func() []Opportunity { return detectCriticalFlow(g, cat) },
-		func() []Opportunity { return detectParallelismTradeoff(g, inScope, cfg) },
-		func() []Opportunity { return detectTaskCompositions(g, inScope) },
-	}
-	// Warm the graph's indexed core before fanning out, so the workers share
-	// one snapshot instead of racing to build it.
-	g.Index()
-	found := make([][]Opportunity, len(detectors))
-	var wg sync.WaitGroup
-	wg.Add(len(detectors))
-	for i, det := range detectors {
-		go func(i int, det func() []Opportunity) {
-			defer wg.Done()
-			found[i] = det()
-		}(i, det)
-	}
-	wg.Wait()
-
 	var out []Opportunity
-	for _, f := range found {
-		out = append(out, f...)
-	}
+	out = append(out, detectDataVolume(g, edges)...)
+	out = append(out, detectMismatchedRate(g, data)...)
+	out = append(out, detectDataNonUse(g, data)...)
+	out = append(out, detectIntraTaskLocality(edges)...)
+	out = append(out, detectInterTaskLocality(g, data)...)
+	out = append(out, detectCriticalFlow(g, cat)...)
+	out = append(out, detectParallelismTradeoff(g, tasks, cfg)...)
+	out = append(out, detectTaskCompositions(g, tasks)...)
 	rankBy(out, func(o *Opportunity) float64 { return o.Severity }, (*Opportunity).String)
 	return out
 }
@@ -184,17 +168,14 @@ func newOpp(k Kind, sev float64, detail string, mustValidate bool, vs ...dfl.ID)
 
 // detectDataVolume flags flows whose volume exceeds a fraction of total flow
 // (Table 1 row 1: volumes exceeding storage or network ability).
-func detectDataVolume(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectDataVolume(g *dfl.Graph, edges []*dfl.Edge) []Opportunity {
 	total := g.TotalVolume()
 	if total == 0 {
 		return nil
 	}
 	thresh := uint64(float64(total) * volumeFraction)
 	var out []Opportunity
-	for _, e := range g.Edges() {
-		if !inScope(e.Src) || !inScope(e.Dst) {
-			continue
-		}
+	for _, e := range edges {
 		if e.Props.Volume > thresh {
 			out = append(out, newOpp(DataVolume, float64(e.Props.Volume),
 				fmt.Sprintf("flow carries %d B (%.0f%% of workflow volume)",
@@ -207,12 +188,9 @@ func detectDataVolume(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 
 // detectMismatchedRate compares producer vs consumer data rates per data
 // vertex (Table 1 row 2).
-func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectMismatchedRate(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 	var out []Opportunity
-	for _, v := range g.DataFiles() {
-		if !inScope(v.ID) {
-			continue
-		}
+	for _, v := range data {
 		var inRate, outRate float64
 		for _, e := range g.In(v.ID) {
 			inRate += e.Props.Rate()
@@ -244,12 +222,9 @@ func detectMismatchedRate(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity
 // detectDataNonUse finds (a) data leaf vertices with producers but no
 // consumers and (b) consumer flows whose footprint is well below the file
 // size (Table 1 row 3).
-func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectDataNonUse(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 	var out []Opportunity
-	for _, v := range g.DataFiles() {
-		if !inScope(v.ID) {
-			continue
-		}
+	for _, v := range data {
 		if g.InDegree(v.ID) > 0 && g.OutDegree(v.ID) == 0 {
 			out = append(out, newOpp(DataNonUse, float64(v.Data.Size),
 				fmt.Sprintf("produced (%d B) but never consumed", v.Data.Size),
@@ -275,10 +250,10 @@ func detectDataNonUse(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
 
 // detectIntraTaskLocality flags consumer flows with strong spatial locality
 // (small consecutive access distances) or temporal reuse (Table 1 row 4).
-func detectIntraTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectIntraTaskLocality(edges []*dfl.Edge) []Opportunity {
 	var out []Opportunity
-	for _, e := range g.Edges() {
-		if e.Kind != dfl.Consumer || !inScope(e.Src) || !inScope(e.Dst) {
+	for _, e := range edges {
+		if e.Kind != dfl.Consumer {
 			continue
 		}
 		spatial := e.Props.SmallDistFrac >= localityFraction
@@ -308,12 +283,9 @@ func detectIntraTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportun
 // (Table 1 row 5: case 1/3 — multiple consumers share one file — and case 2
 // — instances of the same task template access the same data, e.g. control
 // loops).
-func detectInterTaskLocality(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectInterTaskLocality(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 	var out []Opportunity
-	for _, v := range g.DataFiles() {
-		if !inScope(v.ID) {
-			continue
-		}
+	for _, v := range data {
 		consumers := g.Consumers(v.ID)
 		if len(consumers) < 2 {
 			continue
@@ -380,12 +352,9 @@ func detectCriticalFlow(g *dfl.Graph, cat *cpa.Caterpillar) []Opportunity {
 
 // detectParallelismTradeoff flags consumer tasks whose in-degree implies many
 // concurrently-executing producers (Table 1 row 7). Requires validation.
-func detectParallelismTradeoff(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Config) []Opportunity {
+func detectParallelismTradeoff(g *dfl.Graph, tasks []*dfl.Vertex, cfg Config) []Opportunity {
 	var out []Opportunity
-	for _, v := range g.Tasks() {
-		if !inScope(v.ID) {
-			continue
-		}
+	for _, v := range tasks {
 		in := g.InDegree(v.ID)
 		if in < cfg.ParallelismInDegree {
 			continue
@@ -400,12 +369,9 @@ func detectParallelismTradeoff(g *dfl.Graph, inScope func(dfl.ID) bool, cfg Conf
 // detectTaskCompositions finds the §5.3–5.4 task-relation patterns:
 // aggregators, compressor-aggregators, splitters, and aggregator-then-regular
 // compositions.
-func detectTaskCompositions(g *dfl.Graph, inScope func(dfl.ID) bool) []Opportunity {
+func detectTaskCompositions(g *dfl.Graph, tasks []*dfl.Vertex) []Opportunity {
 	var out []Opportunity
-	for _, v := range g.Tasks() {
-		if !inScope(v.ID) {
-			continue
-		}
+	for _, v := range tasks {
 		in, outd := g.InDegree(v.ID), g.OutDegree(v.ID)
 
 		// Splitter: one input, many outputs.
