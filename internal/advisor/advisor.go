@@ -137,6 +137,9 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	if !g.IsDAG() {
 		return nil, fmt.Errorf("advisor: needs a DFL-DAG (acyclic); aggregate templates are not schedulable")
 	}
+	if n := sameKindEdges(g.Index()); n > 0 {
+		return nil, fmt.Errorf("advisor: needs a DFL-DAG; %d edges do not join a task and a data vertex", n)
+	}
 	threads, threadOf, ix := extractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
@@ -162,6 +165,23 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	plan.Placements = placeFiles(ix, cfg, threads, threadOf)
 	plan.Opportunities = <-opps
 	return plan, nil
+}
+
+// sameKindEdges counts the edges that join two tasks or two data vertices,
+// which only dfl.Graph.AddUncheckedEdge can add. Thread extraction assumes
+// there are none.
+func sameKindEdges(ix *dfl.Index) int {
+	n := 0
+	for p := int32(0); p < int32(ix.Len()); p++ {
+		kind := ix.IDAt(p).Kind
+		_, dsts := ix.Out(p)
+		for _, q := range dsts {
+			if ix.IDAt(q).Kind == kind {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ExtractThreads partitions tasks into caterpillar threads. Tasks are seeded

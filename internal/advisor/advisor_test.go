@@ -88,6 +88,33 @@ func TestAdviseRejectsCyclicTemplate(t *testing.T) {
 	}
 }
 
+// TestAdviseRejectsSameKindEdges: an edge that does not join a task and a
+// data vertex, which only AddUncheckedEdge makes, is an error, as a cycle is.
+func TestAdviseRejectsSameKindEdges(t *testing.T) {
+	a, b := dfl.TaskID("a"), dfl.TaskID("b")
+	x, y := dfl.DataID("x"), dfl.DataID("y")
+	for _, tc := range []struct {
+		name  string
+		edges [][2]dfl.ID
+	}{
+		{"file to file alone", [][2]dfl.ID{{x, y}}},
+		{"file to file between tasks", [][2]dfl.ID{{a, x}, {x, y}, {y, b}}},
+		{"task to task", [][2]dfl.ID{{a, b}}},
+	} {
+		g := dfl.New()
+		for _, e := range tc.edges {
+			kind := dfl.Consumer
+			if e[0].Kind == dfl.TaskVertex {
+				kind = dfl.Producer
+			}
+			g.AddUncheckedEdge(e[0], e[1], kind, dfl.FlowProps{Volume: 1, Latency: 1})
+		}
+		if _, err := Advise(g, Config{Nodes: 2}); err == nil {
+			t.Errorf("%s: graph accepted", tc.name)
+		}
+	}
+}
+
 func TestBalanceThreadsLPT(t *testing.T) {
 	threads := []Thread{
 		{ID: 0, Work: 10},

@@ -289,12 +289,9 @@ func (c *Caterpillar) Members() []dfl.ID {
 // by ID, and the edges with both ends in the caterpillar, sorted by (src, dst)
 // with duplicate edges in insertion order: g.Tasks(), g.DataFiles() and
 // g.Edges() filtered by Contains, reading only the members and their
-// out-edges. (On an O(delta) snapshot, g.Edges() may order the duplicates of
-// an edge added since the last compaction differently; opportunities from
-// duplicates that tie on severity and text are identical, so Analyze's
-// output does not depend on it.) A caterpillar built on an older snapshot
-// than g's current one gets the filtered whole-graph scan instead, since its
-// adjacency may be out of date.
+// out-edges. A caterpillar built on an older snapshot than g's current one
+// gets the filtered whole-graph scan instead, since its adjacency may be out
+// of date.
 func (c *Caterpillar) Scope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*dfl.Edge) {
 	ix := g.Index()
 	if c.ix != ix {

@@ -2,6 +2,7 @@ package dfl
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,17 +14,18 @@ import (
 // geometric (proportional to the base), so a pure streaming build compacts
 // O(log n) times and the total compaction work stays O(n).
 const (
-	maxEditedEntries = 256
-	maxTouchedSlots  = 256
-	maxTouchedEdges  = 4096
-	minExtraCap      = 64
+	maxTouchedSlots = 256
+	maxTouchedEdges = 4096
+	minExtraCap     = 64
 )
 
 // pending is the property-edit part of the mutation delta accumulated since
 // the last snapshot derivation. The structural part needs no record:
 // vertices and edges are only ever appended, so the delta's new vertices are
 // the slots past the previous snapshot's vertex count and its new edges the
-// g.edges indices past its edge count, each read at its final value.
+// g.edges indices past its edge count, each read at its final value. An edit
+// the previous snapshot saw sends the derivation to compaction, which uses
+// these records to carry the fingerprint sums forward.
 type pending struct {
 	// editOld maps a g.edges index to the pointer the previous snapshot saw
 	// (recorded on the first SetEdgeProps for that edge since the last
@@ -48,15 +50,6 @@ type epoch struct {
 	// exact suffixes; valid only while every derivation kept topoErr nil.
 	topoSlots []int32
 	topoIDs   []ID
-	// origPtr records, per edited g.edges index, the edge pointer that is
-	// physically stored in the epoch's shared arrays (the compaction-time or
-	// first-append pointer), so cumulative edit maps key correctly across
-	// repeated edits.
-	origPtr map[int32]*Edge
-	// origVertPtr is the vertex analogue of origPtr: per edited vertex slot,
-	// the pointer physically stored in the epoch's shared verts/extraVerts
-	// arrays, keying the cumulative editedVerts map across repeated edits.
-	origVertPtr map[int32]*Vertex
 }
 
 // adjHalf is one direction of an overlay slot's adjacency. The three slices
@@ -105,15 +98,13 @@ func appendHalf(p *atomic.Pointer[adjHalf], e *Edge, peer, seq int32) {
 	p.Store(nh)
 }
 
-// slotOverlay is a fully-materialized adjacency override for one slot:
-// base slots that gained edges and any slot with an edited edge. Entries are
+// slotOverlay is the out-list of a base slot that gained edges since the
+// compaction: its CSR span followed by the appended edges. Entries are
 // immutable once their creating derivation publishes; later derivations
-// clone before modifying.
+// clone before appending.
 type slotOverlay struct {
 	outE []*Edge
 	outD []int32
-	inE  []*Edge
-	inS  []int32
 }
 
 // IndexStats counts snapshot derivations since the graph was created —
@@ -140,8 +131,8 @@ func (g *Graph) derive() *Index {
 	pend := g.pend
 	g.pend = pending{}
 
-	if prev != nil && !force && prev.n == len(g.verts) && prev.mEdges == len(g.edges) &&
-		len(pend.editOld) == 0 && len(pend.editVertOld) == 0 {
+	edits := len(pend.editOld) > 0 || len(pend.editVertOld) > 0
+	if prev != nil && !force && prev.n == len(g.verts) && prev.mEdges == len(g.edges) && !edits {
 		return prev
 	}
 	g.stats.Derivations++
@@ -150,9 +141,13 @@ func (g *Graph) derive() *Index {
 		// in-place property mutations, so previous sums may be stale.
 		return g.compact(nil, pending{})
 	}
-	if ix := g.fastDerive(prev, pend); ix != nil {
-		g.stats.Fast++
-		return ix
+	// The overlay represents appends only: an edit to an element the previous
+	// snapshot saw compacts.
+	if !edits {
+		if ix := g.fastDerive(prev); ix != nil {
+			g.stats.Fast++
+			return ix
+		}
 	}
 	return g.compact(prev, pend)
 }
@@ -164,23 +159,8 @@ func (g *Graph) derive() *Index {
 func (g *Graph) compact(prev *Index, pend pending) *Index {
 	g.stats.Compactions++
 	ix := buildIndex(g)
-	if prev != nil && prev.fpReady.Load() {
-		vs, es := prev.vertSum, prev.edgeSum
-		for _, v := range g.verts[prev.n:] {
-			vs += vertexHash(v)
-		}
-		for _, e := range g.edges[prev.mEdges:] {
-			es += edgeHash(e)
-		}
-		for _, i := range sortedKeys(pend.editOld) {
-			es += edgeHash(g.edges[i]) - edgeHash(pend.editOld[i])
-		}
-		for _, s := range sortedKeys(pend.editVertOld) {
-			vs += vertexHash(g.verts[s]) - vertexHash(pend.editVertOld[s])
-		}
-		ix.vertSum, ix.edgeSum = vs, es
-		ix.fp = combineFingerprint(ix.n, ix.mEdges, vs, es)
-		ix.fpReady.Store(true)
+	if prev != nil {
+		g.carryFingerprint(prev, ix, pend)
 	}
 	g.ep = &epoch{
 		posExtra:  &sync.Map{},
@@ -190,10 +170,37 @@ func (g *Graph) compact(prev *Index, pend pending) *Index {
 	return ix
 }
 
-// fastDerive attempts the O(delta) snapshot derivation. It returns nil when
-// the delta is not representable incrementally (thresholds exceeded, edges
-// into pre-existing vertices, unanchored new vertices, a lowered best-rate
-// edge, or a poisoned topological order), in which case the caller compacts.
+// carryFingerprint derives ix's fingerprint sums from prev's in O(delta):
+// the hashes of the vertices and edges appended since prev, plus the
+// difference of each recorded edit. It leaves ix's fingerprint lazy when
+// prev never computed its sums.
+func (g *Graph) carryFingerprint(prev, ix *Index, pend pending) {
+	if !prev.fpReady.Load() {
+		return
+	}
+	vs, es := prev.vertSum, prev.edgeSum
+	for _, v := range g.verts[prev.n:] {
+		vs += vertexHash(v)
+	}
+	for _, e := range g.edges[prev.mEdges:] {
+		es += edgeHash(e)
+	}
+	for _, i := range sortedKeys(pend.editOld) {
+		es += edgeHash(g.edges[i]) - edgeHash(pend.editOld[i])
+	}
+	for _, s := range sortedKeys(pend.editVertOld) {
+		vs += vertexHash(g.verts[s]) - vertexHash(pend.editVertOld[s])
+	}
+	ix.vertSum, ix.edgeSum = vs, es
+	ix.fp = combineFingerprint(ix.n, ix.mEdges, vs, es)
+	ix.fpReady.Store(true)
+}
+
+// fastDerive attempts the O(delta) snapshot derivation of an append-only
+// delta. It returns nil when the delta is not representable incrementally
+// (thresholds exceeded, edges into pre-existing vertices, unanchored new
+// vertices, or a poisoned topological order), in which case the caller
+// compacts.
 //
 // The topological fast path relies on the anchored-suffix property: when
 // every pending new edge points into a new vertex and every new vertex is
@@ -202,63 +209,21 @@ func (g *Graph) compact(prev *Index, pend pending) *Index {
 // of the grown graph is exactly the previous order followed by a suffix of
 // the new vertices, which a mini-Kahn over the new subgraph reproduces
 // byte-identically (freed batches are all-new and ID-sorted, matching the
-// canonical dense sort of a full rebuild).
-func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
+// canonical dense sort of a full rebuild). The same property means no
+// pre-existing slot gains an in-edge, so only the out-lists of base slots
+// need copy-on-write overlays.
+func (g *Graph) fastDerive(prev *Index) *Index {
 	ep := g.ep
 	baseN := prev.baseN
 	prevN := int32(prev.n)
 	newVerts := g.verts[prevN:]
 	newEnds := g.ends[prev.mEdges:]
 	k := len(newVerts)
-	structural := k > 0 || len(newEnds) > 0
-	if structural && prev.topoErr != nil {
+	if prev.topoErr != nil || prevN == 0 {
 		return nil
 	}
-
 	if prev.n-int(baseN)+k > max(minExtraCap, int(baseN)) {
 		return nil
-	}
-	if len(prev.edited)+len(pend.editOld)+
-		len(prev.editedVerts)+len(pend.editVertOld) > maxEditedEntries {
-		return nil
-	}
-
-	// Classify edits. Only edges the previous snapshot saw are recorded;
-	// edges added this delta already surface their final pointer everywhere.
-	type editRec struct {
-		i    int32
-		o, c *Edge
-	}
-	var edits []editRec
-	for _, i := range sortedKeys(pend.editOld) {
-		o := pend.editOld[i]
-		c := g.edges[i]
-		if c == o {
-			continue
-		}
-		// Lowering an edge that carried the best rate invalidates the cached
-		// max; recompute via compaction.
-		if or := o.Props.Rate(); or >= prev.bestRate && c.Props.Rate() < or {
-			return nil
-		}
-		edits = append(edits, editRec{i, o, c})
-	}
-
-	// Classify vertex property edits. They are non-structural: adjacency,
-	// topological order, and edge aggregates reference vertices by slot, so a
-	// copy-on-write pointer replacement is the whole change.
-	type vertEditRec struct {
-		s    int32
-		o, c *Vertex
-	}
-	var vertEdits []vertEditRec
-	for _, s := range sortedKeys(pend.editVertOld) {
-		o := pend.editVertOld[s]
-		c := g.verts[s]
-		if c == o {
-			continue
-		}
-		vertEdits = append(vertEdits, vertEditRec{s, o, c})
 	}
 
 	// slotOf maps a graph slot to its snapshot slot: base vertices sit at
@@ -271,90 +236,71 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		return s
 	}
 
-	// Topological feasibility (structural deltas only). New vertices are
-	// numbered locally by slot-prevN.
-	var (
-		newIndeg []int32
-		newOut   [][]int32
-	)
-	if structural {
-		if prevN == 0 {
+	// Topological feasibility. New vertices are numbered locally by
+	// slot-prevN.
+	anchor := prev.topo[prevN-1]
+	anchorSeed := make([]bool, k)
+	newIndeg := make([]int32, k)
+	newOut := make([][]int32, k)
+	for _, p := range newEnds {
+		if p.dst < prevN {
+			return nil // edge into a pre-existing vertex: old indegrees change
+		}
+		dj := p.dst - prevN
+		if p.src >= prevN {
+			sj := p.src - prevN
+			newOut[sj] = append(newOut[sj], dj)
+			newIndeg[dj]++
+		} else if slotOf(p.src) == anchor {
+			anchorSeed[dj] = true
+		}
+	}
+	anchored := make([]bool, k)
+	var stack []int32
+	for j, s := range anchorSeed {
+		if s {
+			anchored[j] = true
+			stack = append(stack, int32(j))
+		}
+	}
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, dj := range newOut[j] {
+			if !anchored[dj] {
+				anchored[dj] = true
+				stack = append(stack, dj)
+			}
+		}
+	}
+	for j := 0; j < k; j++ {
+		if !anchored[j] {
 			return nil
-		}
-		anchor := prev.topo[prevN-1]
-		anchorSeed := make([]bool, k)
-		newIndeg = make([]int32, k)
-		newOut = make([][]int32, k)
-		for _, p := range newEnds {
-			if p.dst < prevN {
-				return nil // edge into a pre-existing vertex: old indegrees change
-			}
-			dj := p.dst - prevN
-			if p.src >= prevN {
-				sj := p.src - prevN
-				newOut[sj] = append(newOut[sj], dj)
-				newIndeg[dj]++
-			} else if slotOf(p.src) == anchor {
-				anchorSeed[dj] = true
-			}
-		}
-		anchored := make([]bool, k)
-		var stack []int32
-		for j, s := range anchorSeed {
-			if s {
-				anchored[j] = true
-				stack = append(stack, int32(j))
-			}
-		}
-		for len(stack) > 0 {
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, dj := range newOut[j] {
-				if !anchored[dj] {
-					anchored[dj] = true
-					stack = append(stack, dj)
-				}
-			}
-		}
-		for j := 0; j < k; j++ {
-			if !anchored[j] {
-				return nil
-			}
 		}
 	}
 
-	// Which slots need (re)materialized overlays: every edit endpoint, plus
-	// base or already-overlaid slots gaining new edges.
+	// Base slots gaining out-edges need (re)materialized overlays; an overlay
+	// slot's shared adjacency halves absorb appends without one.
+	var touchSlots []int32
 	needTouch := make(map[int32]bool)
-	for _, er := range edits {
-		p := g.ends[er.i]
-		needTouch[slotOf(p.src)] = true
-		needTouch[slotOf(p.dst)] = true
-	}
 	for _, p := range newEnds {
-		if s := slotOf(p.src); s < baseN || prev.touched[s] != nil {
+		if s := slotOf(p.src); s < baseN && !needTouch[s] {
 			needTouch[s] = true
+			touchSlots = append(touchSlots, s)
 		}
-		// p.dst is always a new vertex here (checked above): its fresh
-		// shared adjacency absorbs appends without an overlay.
 	}
-	touchSlots := make([]int32, 0, len(needTouch))
-	for s := range needTouch {
-		touchSlots = append(touchSlots, s)
-	}
-	slices.Sort(touchSlots)
 	touchedCount := len(prev.touched)
 	totalOv := 0
 	for _, ov := range prev.touched {
-		totalOv += len(ov.outE) + len(ov.inE)
+		totalOv += len(ov.outE)
 	}
 	for _, s := range touchSlots {
 		if prev.touched[s] == nil {
 			touchedCount++
-			totalOv += prev.OutDegree(s) + prev.InDegree(s)
+			totalOv += prev.OutDegree(s)
 		}
 	}
-	if touchedCount > maxTouchedSlots || totalOv+2*len(newEnds) > maxTouchedEdges {
+	if touchedCount > maxTouchedSlots || totalOv+len(newEnds) > maxTouchedEdges {
 		return nil
 	}
 
@@ -373,120 +319,61 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		}
 	}
 
-	// 2. Copy-on-write overlays for the touched slots.
+	// 2. Copy-on-write out-lists for the touched base slots, cloned as the
+	// previous snapshot saw them.
 	touched := prev.touched
 	if len(touchSlots) > 0 {
 		touched = make(map[int32]*slotOverlay, len(prev.touched)+len(touchSlots))
-		for s, ov := range prev.touched {
-			touched[s] = ov
-		}
+		maps.Copy(touched, prev.touched)
 		for _, s := range touchSlots {
-			touched[s] = materializeOverlay(prev, s, touched[s])
+			outE, outD := prev.Out(s)
+			touched[s] = &slotOverlay{outE: slices.Clone(outE), outD: slices.Clone(outD)}
 		}
 	}
 
-	// 3. Apply edit pointer swaps and extend the cumulative edited map.
-	edited := prev.edited
-	if len(edits) > 0 {
-		edited = make(map[*Edge]*Edge, len(prev.edited)+len(edits))
-		for o, c := range prev.edited {
-			edited[o] = c
-		}
-		if ep.origPtr == nil {
-			ep.origPtr = make(map[int32]*Edge)
-		}
-		for _, er := range edits {
-			ap, ok := ep.origPtr[er.i]
-			if !ok {
-				ap = er.o
-				ep.origPtr[er.i] = ap
-			}
-			edited[ap] = er.c
-			p := g.ends[er.i]
-			swapEdge(touched[slotOf(p.src)].outE, er.o, er.c)
-			swapEdge(touched[slotOf(p.dst)].inE, er.o, er.c)
-		}
-	}
-
-	// 3b. Extend the cumulative vertex-edit map, keyed by the pointer stored
-	// in the epoch's shared verts/extraVerts arrays (which never change within
-	// an epoch), so repeated edits of the same vertex key consistently.
-	editedVerts := prev.editedVerts
-	if len(vertEdits) > 0 {
-		editedVerts = make(map[*Vertex]*Vertex, len(prev.editedVerts)+len(vertEdits))
-		for o, c := range prev.editedVerts {
-			editedVerts[o] = c
-		}
-		if ep.origVertPtr == nil {
-			ep.origVertPtr = make(map[int32]*Vertex)
-		}
-		for _, er := range vertEdits {
-			ap, ok := ep.origVertPtr[er.s]
-			if !ok {
-				ap = er.o
-				ep.origVertPtr[er.s] = ap
-			}
-			editedVerts[ap] = er.c
-		}
-	}
-
-	// 4. Append new edges: overlaid slots grow their private lists, fresh
-	// overlay slots grow the shared seq-marked halves.
+	// 3. Append new edges: touched base slots grow their private out-lists,
+	// overlay slots the shared seq-marked halves. Every destination is new.
 	for j, p := range newEnds {
 		e := g.edges[prev.mEdges+j]
 		seq := int32(len(ep.extraEdges))
 		ep.extraEdges = append(ep.extraEdges, e)
-		s, d := slotOf(p.src), slotOf(p.dst)
-		if ov := touched[s]; ov != nil {
+		s, d := slotOf(p.src), p.dst
+		if s < baseN {
+			ov := touched[s]
 			ov.outE = append(ov.outE, e)
 			ov.outD = append(ov.outD, d)
 		} else {
 			appendHalf(&ep.extraAdj[s-baseN].out, e, d, seq)
 		}
-		if ov := touched[d]; ov != nil {
-			ov.inE = append(ov.inE, e)
-			ov.inS = append(ov.inS, s)
-		} else {
-			appendHalf(&ep.extraAdj[d-baseN].in, e, s, seq)
-		}
+		appendHalf(&ep.extraAdj[d-baseN].in, e, s, seq)
 	}
 
-	// 5. Topological order: exact suffix via mini-Kahn over the new subgraph.
+	// 4. Topological order: exact suffix via mini-Kahn over the new subgraph.
 	n := prev.n + k
 	var (
 		topo    []int32
 		topoIDs []ID
 		topoErr error
 	)
-	if !structural {
-		topo, topoIDs, topoErr = prev.topo, prev.topoIDs, prev.topoErr
+	suffix := topoSuffix(newVerts, newIndeg, newOut)
+	if len(suffix) < k {
+		topoErr = fmt.Errorf("dfl: graph has a cycle (%d of %d vertices ordered)",
+			prev.n+len(suffix), n)
 	} else {
-		suffix := topoSuffix(newVerts, newIndeg, newOut)
-		if len(suffix) < k {
-			topoErr = fmt.Errorf("dfl: graph has a cycle (%d of %d vertices ordered)",
-				prev.n+len(suffix), n)
-		} else {
-			for _, j := range suffix {
-				ep.topoSlots = append(ep.topoSlots, prevN+j)
-				ep.topoIDs = append(ep.topoIDs, newVerts[j].ID)
-			}
-			topo = ep.topoSlots[:n]
-			topoIDs = ep.topoIDs[:n]
+		for _, j := range suffix {
+			ep.topoSlots = append(ep.topoSlots, prevN+j)
+			ep.topoIDs = append(ep.topoIDs, newVerts[j].ID)
 		}
+		topo = ep.topoSlots[:n]
+		topoIDs = ep.topoIDs[:n]
 	}
 
-	// 6. Aggregates.
+	// 5. Aggregates.
 	totalVolume := prev.totalVolume
 	bestRate := prev.bestRate
 	for _, e := range g.edges[prev.mEdges:] {
 		totalVolume += e.Props.Volume
 		if r := e.Props.Rate(); r > bestRate {
-			bestRate = r
-		}
-	}
-	for _, er := range edits {
-		totalVolume += er.c.Props.Volume - er.o.Props.Volume
-		if r := er.c.Props.Rate(); r > bestRate {
 			bestRate = r
 		}
 	}
@@ -510,15 +397,13 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		nTasksAll: nTasksAll,
 		mEdges:    len(g.edges),
 
-		extraIDs:    ep.extraIDs,
-		extraVerts:  ep.extraVerts,
-		extraAdj:    ep.extraAdj,
-		extraEdges:  ep.extraEdges,
-		seqMark:     int32(len(ep.extraEdges)),
-		posExtra:    ep.posExtra,
-		touched:     touched,
-		edited:      edited,
-		editedVerts: editedVerts,
+		extraIDs:   ep.extraIDs,
+		extraVerts: ep.extraVerts,
+		extraAdj:   ep.extraAdj,
+		extraEdges: ep.extraEdges,
+		seqMark:    int32(len(ep.extraEdges)),
+		posExtra:   ep.posExtra,
+		touched:    touched,
 
 		topo:    topo,
 		topoIDs: topoIDs,
@@ -529,73 +414,8 @@ func (g *Graph) fastDerive(prev *Index, pend pending) *Index {
 		nbrs:        prev.nbrs,
 		nbrOff:      prev.nbrOff,
 	}
-
-	// 7. Fingerprint sums carried in O(delta) when the previous snapshot
-	// computed them; otherwise left lazy.
-	if prev.fpReady.Load() {
-		vs, es := prev.vertSum, prev.edgeSum
-		for _, v := range newVerts {
-			vs += vertexHash(v)
-		}
-		for _, e := range g.edges[prev.mEdges:] {
-			es += edgeHash(e)
-		}
-		for _, er := range edits {
-			es += edgeHash(er.c) - edgeHash(er.o)
-		}
-		for _, er := range vertEdits {
-			vs += vertexHash(er.c) - vertexHash(er.o)
-		}
-		ix.vertSum, ix.edgeSum = vs, es
-		ix.fp = combineFingerprint(n, ix.mEdges, vs, es)
-		ix.fpReady.Store(true)
-	}
+	g.carryFingerprint(prev, ix, pending{})
 	return ix
-}
-
-// materializeOverlay builds the private adjacency override for slot s as the
-// previous snapshot saw it: cloning an existing overlay, or expanding the
-// base CSR span / shared half prefix with cumulative edits applied.
-func materializeOverlay(prev *Index, s int32, existing *slotOverlay) *slotOverlay {
-	ov := &slotOverlay{}
-	if existing != nil {
-		ov.outE = slices.Clone(existing.outE)
-		ov.outD = slices.Clone(existing.outD)
-		ov.inE = slices.Clone(existing.inE)
-		ov.inS = slices.Clone(existing.inS)
-		return ov
-	}
-	repl := func(es []*Edge) []*Edge {
-		out := make([]*Edge, len(es))
-		for i, e := range es {
-			if c, ok := prev.edited[e]; ok {
-				e = c
-			}
-			out[i] = e
-		}
-		return out
-	}
-	if s < prev.baseN {
-		lo, hi := prev.outOff[s], prev.outOff[s+1]
-		ov.outE = repl(prev.outEdges[lo:hi])
-		ov.outD = slices.Clone(prev.outDst[lo:hi])
-		lo, hi = prev.inOff[s], prev.inOff[s+1]
-		ov.inE = repl(prev.inEdges[lo:hi])
-		ov.inS = slices.Clone(prev.inSrc[lo:hi])
-		return ov
-	}
-	a := prev.extraAdj[s-prev.baseN]
-	if h := a.out.Load(); h != nil {
-		kv := h.visible(prev.seqMark)
-		ov.outE = repl(h.edges[:kv])
-		ov.outD = slices.Clone(h.peers[:kv])
-	}
-	if h := a.in.Load(); h != nil {
-		kv := h.visible(prev.seqMark)
-		ov.inE = repl(h.edges[:kv])
-		ov.inS = slices.Clone(h.peers[:kv])
-	}
-	return ov
 }
 
 // sortedKeys returns the keys of an edit map in ascending order so edit
@@ -608,14 +428,6 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	}
 	slices.Sort(keys)
 	return keys
-}
-
-func swapEdge(es []*Edge, o, c *Edge) {
-	for i, e := range es {
-		if e == o {
-			es[i] = c
-		}
-	}
 }
 
 // topoSuffix runs the deterministic FIFO Kahn over the new-vertex subgraph:

@@ -98,11 +98,11 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// Perturb edits the graph in ways the next query derives in O(delta), as an
-// overlay snapshot: edge and vertex property edits, and a new task hanging
-// off the last vertex in topological order, which reads it twice (a
-// duplicate edge) and writes a new file. It derives the current snapshot
-// first, so the edits are all pending afterwards.
+// Perturb edits the graph, then appends to it. Edge and vertex property
+// edits come first, and it derives their snapshot, a compaction. Then a new
+// task hangs off the last vertex in topological order, reading it twice (a
+// duplicate edge) and writing a new file: an append the next query derives
+// in O(delta), as an overlay snapshot, and the only delta pending afterwards.
 func (l *Layered) Perturb(tb testing.TB) {
 	tb.Helper()
 	g := l.G
@@ -127,6 +127,7 @@ func (l *Layered) Perturb(tb testing.TB) {
 		tp.Lifetime += 7
 		g.SetTaskProps(task.Name, tp)
 	}
+	g.Index()
 	tail := dfl.TaskID("tail")
 	g.AddUncheckedEdge(last, tail, dfl.Consumer, dfl.FlowProps{Volume: 1 << 20, Latency: 1})
 	g.AddUncheckedEdge(last, tail, dfl.Consumer, dfl.FlowProps{Volume: 1 << 21, Latency: 1})
@@ -142,9 +143,9 @@ type Graph struct {
 
 // Corpus returns fresh copies of the equivalence corpus: the six builtin
 // workflows as measured by a default run; layered streams cut at several
-// points, each queried at earlier cuts on the way; layered graphs whose last
-// snapshot is an O(delta) overlay; and hand-built corner cases, two of them
-// cyclic.
+// points, each queried at earlier cuts on the way; perturbed layered graphs
+// whose last snapshot is an O(delta) overlay over an edited base; and
+// hand-built corner cases, two of them cyclic.
 func Corpus(tb testing.TB) []Graph {
 	tb.Helper()
 	var out []Graph

@@ -180,11 +180,11 @@ type slotPair struct{ src, dst int32 }
 //
 // Queries that need sorted snapshots or whole-graph aggregates (Vertices,
 // Edges, TopoSort, TotalVolume, BestRate, Producers/Consumers, ...) are
-// served from an indexed core (see Index) that mutations keep current via
-// O(delta) copy-on-write snapshot derivation: AddEdge, new vertices,
-// SetEdgeProps, and SetTaskProps/SetDataProps accumulate a pending delta, and
-// the next query derives a new immutable snapshot from the previous one
-// instead of rebuilding.
+// served from an indexed core (see Index) that mutations keep current: AddEdge
+// and new vertices accumulate a pending delta that the next query usually
+// derives in O(delta) from the previous immutable snapshot, and
+// SetEdgeProps, SetTaskProps and SetDataProps record their edits so that the
+// next query compacts with the content fingerprint carried forward.
 //
 // Concurrency contract: snapshots obtained from Index() (and every slice the
 // query methods return) stay valid and safe to read concurrently, forever —
@@ -320,11 +320,10 @@ func (g *Graph) derived() (verts, edges int) {
 }
 
 // SetEdgeProps replaces the properties of the edge src→dst (the same edge
-// FindEdge returns) and routes the change through the incremental index
-// delta, so aggregates, fingerprint, and adjacency snapshots stay current
-// without a rebuild. The replacement is copy-on-write: previously obtained
-// snapshots keep reading the old edge value. Returns false when no such edge
-// exists.
+// FindEdge returns) and records the edit in the index delta: the next query
+// compacts, carrying the content fingerprint forward in O(delta). The
+// replacement is copy-on-write: previously obtained snapshots keep reading
+// the old edge value. Returns false when no such edge exists.
 func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
 	s, d := g.slot(src), g.slot(dst)
 	if s < 0 || d < 0 {
@@ -343,7 +342,8 @@ func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
 	swapEdge(g.out[s], old, ne)
 	swapEdge(g.in[d], old, ne)
 	// An edge added since the last derivation surfaces its final pointer
-	// everywhere; only edges the previous snapshot saw need an edit record.
+	// everywhere and stays an append; only edges the previous snapshot saw
+	// need an edit record.
 	if _, seen := g.derived(); int(i) < seen {
 		if g.pend.editOld == nil {
 			g.pend.editOld = make(map[int32]*Edge)
@@ -357,10 +357,10 @@ func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
 }
 
 // SetTaskProps replaces the properties of the task vertex with the given
-// name, routing the change through the incremental index delta (the vertex
-// analogue of SetEdgeProps). The replacement is copy-on-write: previously
-// obtained snapshots keep reading the old vertex value, including its term in
-// the content fingerprint. Returns false when no such task exists.
+// name and records the edit in the index delta (the vertex analogue of
+// SetEdgeProps). The replacement is copy-on-write: previously obtained
+// snapshots keep reading the old vertex value, including its term in the
+// content fingerprint. Returns false when no such task exists.
 func (g *Graph) SetTaskProps(name string, props TaskProps) bool {
 	if props.Instances == 0 {
 		props.Instances = 1
@@ -370,7 +370,7 @@ func (g *Graph) SetTaskProps(name string, props TaskProps) bool {
 }
 
 // SetDataProps replaces the properties of the data vertex with the given
-// name through the incremental index delta (copy-on-write, like
+// name and records the edit in the index delta (copy-on-write, like
 // SetTaskProps). Returns false when no such data vertex exists.
 func (g *Graph) SetDataProps(name string, props DataProps) bool {
 	if props.Instances == 0 {
@@ -382,8 +382,8 @@ func (g *Graph) SetDataProps(name string, props DataProps) bool {
 
 // replaceVertex swaps the stored vertex pointer of slot s and records the
 // delta: a vertex added since the last derivation surfaces its final value
-// through its slot, a pre-existing one records the first-seen old pointer
-// for the copy-on-write edit map.
+// through its slot, a pre-existing one records the first-seen old pointer,
+// whose hash the compaction's fingerprint carry subtracts.
 func (g *Graph) replaceVertex(s int32, nv *Vertex) bool {
 	if s < 0 {
 		return false
@@ -400,6 +400,14 @@ func (g *Graph) replaceVertex(s int32, nv *Vertex) bool {
 	}
 	g.dirty.Store(true)
 	return true
+}
+
+func swapEdge(es []*Edge, o, c *Edge) {
+	for i, e := range es {
+		if e == o {
+			es[i] = c
+		}
+	}
 }
 
 // edgeIndex returns the first g.edges index of the edge between slots s and

@@ -128,12 +128,6 @@ func fingerprintSums(ix *Index) (vertSum, edgeSum uint64) {
 	for _, e := range ix.extraEdges {
 		edgeSum += edgeHash(e)
 	}
-	for o, c := range ix.edited {
-		edgeSum += edgeHash(c) - edgeHash(o)
-	}
-	for o, c := range ix.editedVerts {
-		vertSum += vertexHash(c) - vertexHash(o)
-	}
 	return vertSum, edgeSum
 }
 

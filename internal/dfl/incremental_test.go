@@ -164,8 +164,8 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 
 // traceStep applies one random mutation to g. Ops are drawn so that a
 // realistic mix of fast derivations and compactions occurs: frontier growth
-// (anchored, stays incremental), random cross edges (forces compaction), and
-// property edits (edit-only fast path).
+// (anchored, stays incremental), random cross edges and property edits (both
+// compact).
 func traceStep(rng *rand.Rand, g *Graph, step int) {
 	switch op := rng.Intn(12); {
 	case op < 4:
@@ -216,7 +216,7 @@ func traceStep(rng *rand.Rand, g *Graph, step int) {
 		g.AddData(fmt.Sprintf("iso%d", step))
 	case op < 11:
 		// Edit a random vertex's properties through the tracked delta path
-		// (copy-on-write, edit-only fast path).
+		// (copy-on-write).
 		vs := g.Vertices()
 		if len(vs) == 0 {
 			return
@@ -248,29 +248,67 @@ func traceStep(rng *rand.Rand, g *Graph, step int) {
 	}
 }
 
-// TestIncrementalMatchesRebuildOnTraces drives randomized mutation traces and
-// checks, after every step, that the incrementally derived snapshot is
-// indistinguishable from a naive full rebuild on every public accessor.
+// TestIncrementalMatchesRebuildOnTraces drives randomized mutation traces,
+// and a scripted one, and checks, after every step, that the incrementally
+// derived snapshot is indistinguishable from a naive full rebuild on every
+// public accessor, and that no delta carrying an edit took the fast path.
 func TestIncrementalMatchesRebuildOnTraces(t *testing.T) {
+	run := func(t *testing.T, g *Graph, steps int, step func(int)) {
+		t.Helper()
+		for i := 0; i < steps; i++ {
+			step(i)
+			edits := len(g.pend.editOld) + len(g.pend.editVertOld)
+			fast := g.IndexStats().Fast
+			g.Index()
+			if edits > 0 && g.IndexStats().Fast > fast {
+				t.Fatalf("step %d: a delta with %d edits took the fast path", i, edits)
+			}
+			assertSnapshotEquivalent(t, g)
+		}
+		st := g.IndexStats()
+		if st.Fast == 0 {
+			t.Fatalf("trace never exercised the fast path: %+v", st)
+		}
+		if st.Compactions == 0 {
+			t.Fatalf("trace never exercised compaction: %+v", st)
+		}
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := New()
 			g.AddTask("root")
-			for step := 0; step < 120; step++ {
-				traceStep(rng, g, step)
-				assertSnapshotEquivalent(t, g)
-			}
-			st := g.IndexStats()
-			if st.Fast == 0 {
-				t.Fatalf("trace never exercised the fast path: %+v", st)
-			}
-			if st.Compactions == 0 {
-				t.Fatalf("trace never exercised compaction: %+v", st)
-			}
+			run(t, g, 120, func(step int) { traceStep(rng, g, step) })
 		})
 	}
+	// A compacted chain, then one anchored delta of duplicate edges in
+	// scrambled order: the overlay's canonical edge order must keep
+	// duplicates in insertion order, as a compaction does.
+	t.Run("duplicate-fanout", func(t *testing.T) {
+		g := New()
+		run(t, g, 2, func(step int) {
+			props := func(v int) FlowProps { return FlowProps{Volume: uint64(v), Latency: 1} }
+			if step == 0 {
+				for i := 0; i < 50; i++ {
+					tk, d := TaskID(fmt.Sprintf("t%02d", i)), DataID(fmt.Sprintf("d%02d", i))
+					if i > 0 {
+						g.AddUncheckedEdge(DataID(fmt.Sprintf("d%02d", i-1)), tk, Consumer, props(i))
+					}
+					g.AddUncheckedEdge(tk, d, Producer, props(i))
+				}
+				return
+			}
+			fan := TaskID("fan")
+			g.AddUncheckedEdge(DataID("d49"), fan, Consumer, props(1))
+			for pass := 0; pass < 2; pass++ {
+				for k := 0; k < 20; k++ {
+					f := DataID(fmt.Sprintf("out%02d", k*7%20))
+					g.AddUncheckedEdge(fan, f, Producer, props(100*pass+k))
+				}
+			}
+		})
+	})
 }
 
 // TestStreamingChainStaysFast grows a producer chain one edge at a time with
@@ -315,9 +353,10 @@ func TestStreamingChainStaysFast(t *testing.T) {
 	}
 }
 
-// TestEditOnlyDeltasStayFast asserts that pure property-edit deltas never
-// compact until the cumulative edited set crosses its threshold.
-func TestEditOnlyDeltasStayFast(t *testing.T) {
+// TestEditOnlyDeltasCompact asserts that every pure property-edit delta
+// compacts, never taking the append-only O(delta) path, and agrees with a
+// rebuild each time.
+func TestEditOnlyDeltasCompact(t *testing.T) {
 	g := New()
 	g.AddTask("t")
 	for i := 0; i < 8; i++ {
@@ -334,35 +373,35 @@ func TestEditOnlyDeltasStayFast(t *testing.T) {
 			id := DataID(fmt.Sprintf("d%d", i))
 			e := g.FindEdge(TaskID("t"), id)
 			p := e.Props
-			p.Volume += uint64(round + 1) // raises the best rate: stays fast
+			p.Volume += uint64(round + 1) // raises the best rate
 			g.SetEdgeProps(TaskID("t"), id, p)
 		}
 		assertSnapshotEquivalent(t, g)
 	}
 	st := g.IndexStats()
-	if st.Compactions != base {
-		t.Fatalf("edit-only rounds compacted: %+v", st)
+	if st.Compactions != base+20 {
+		t.Fatalf("edit-only rounds did not each compact: %+v", st)
 	}
-	if st.Fast == 0 {
-		t.Fatal("edit-only rounds never took the fast path")
+	if st.Fast != 0 {
+		t.Fatal("an edit-only round took the fast path")
 	}
 
-	// Lowering the best-rate edge must fall back to compaction and still agree.
+	// Lowering the best-rate edge must compact too and still agree.
 	e := g.FindEdge(TaskID("t"), DataID("d0"))
 	p := e.Props
 	p.Volume = 1
 	g.SetEdgeProps(TaskID("t"), DataID("d0"), p)
 	assertSnapshotEquivalent(t, g)
-	if g.IndexStats().Compactions == base {
+	if g.IndexStats().Compactions != base+21 {
 		t.Fatal("lowering the best-rate edge should have compacted")
 	}
 }
 
-// TestVertexEditOnlyDeltasStayFast asserts that SetTaskProps/SetDataProps
-// deltas are non-structural: they never compact (until the cumulative edited
-// set crosses its threshold), previously obtained snapshots keep reading the
-// old vertex values, and the content fingerprint tracks the edits exactly.
-func TestVertexEditOnlyDeltasStayFast(t *testing.T) {
+// TestVertexEditOnlyDeltasCompact asserts that SetTaskProps/SetDataProps
+// deltas compact, never taking the append-only O(delta) path, that
+// previously obtained snapshots keep reading the old vertex values, and that
+// the content fingerprint tracks the edits exactly.
+func TestVertexEditOnlyDeltasCompact(t *testing.T) {
 	g := New()
 	g.AddTask("t")
 	for i := 0; i < 6; i++ {
@@ -384,11 +423,11 @@ func TestVertexEditOnlyDeltasStayFast(t *testing.T) {
 		assertSnapshotEquivalent(t, g)
 	}
 	st := g.IndexStats()
-	if st.Compactions != base {
-		t.Fatalf("vertex-edit-only rounds compacted: %+v", st)
+	if st.Compactions != base+20 {
+		t.Fatalf("vertex-edit-only rounds did not each compact: %+v", st)
 	}
-	if st.Fast == 0 {
-		t.Fatal("vertex-edit-only rounds never took the fast path")
+	if st.Fast != 0 {
+		t.Fatal("a vertex-edit-only round took the fast path")
 	}
 
 	// The pinned snapshot must still read the pre-edit values.

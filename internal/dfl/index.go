@@ -13,17 +13,19 @@ import (
 // best flow rate, distinct producer/consumer sets per data vertex).
 //
 // An Index is an immutable snapshot shared by every reader. Snapshots are
-// derived incrementally: mutating the graph (AddEdge, a new vertex,
-// SetEdgeProps) accumulates a pending delta, and the next query derives a new
-// snapshot from the previous one in O(delta) — new vertices are appended as
-// overlay slots past the frozen canonical base, new edges extend shared
-// seq-marked adjacency lists, the topological order grows by an exact suffix,
-// and aggregates/fingerprint update from running sums. When the overlay
-// outgrows the base (or the delta is not suffix-extendable) the snapshot is
-// compacted: a full rebuild that re-freezes everything in canonical order.
-// Old snapshots stay fully readable throughout — all shared structures are
-// append-only with per-snapshot visibility bounds, so concurrent readers
-// pinned to stale snapshots never observe later mutations.
+// derived incrementally: appending to the graph (AddEdge, a new vertex)
+// accumulates a pending delta, and the next query derives a new snapshot from
+// the previous one in O(delta) — new vertices are appended as overlay slots
+// past the frozen canonical base, new edges extend shared seq-marked
+// adjacency lists, the topological order grows by an exact suffix, and
+// aggregates/fingerprint update from running sums. When the overlay outgrows
+// the base, the delta is not suffix-extendable, or it edits a property the
+// previous snapshot saw (SetEdgeProps, SetTaskProps, SetDataProps), the
+// snapshot is compacted: a full rebuild that re-freezes everything in
+// canonical order. Old snapshots stay fully readable throughout — all shared
+// structures are append-only with per-snapshot visibility bounds, and edits
+// replace vertices and edges copy-on-write, so concurrent readers pinned to
+// stale snapshots never observe later mutations.
 //
 // Dense vertex indices (slots) are stable for the lifetime of an epoch (the
 // span between compactions): base slots [0,baseN) follow the canonical
@@ -45,7 +47,7 @@ type Index struct {
 	nTasks int
 	baseN  int32
 
-	edges []*Edge // base edges sorted by (src, dst); see edited for overrides
+	edges []*Edge // base edges sorted by (src, dst)
 
 	// Base CSR adjacency. Out edges of base vertex i are
 	// outEdges[outOff[i]:outOff[i+1]], in the per-vertex insertion order the
@@ -78,19 +80,11 @@ type Index struct {
 	// filtered out by Pos.
 	posExtra *sync.Map
 
-	// touched overrides adjacency for slots whose lists could not stay
-	// shared: base slots that gained edges, and any slot with an edited edge.
-	// Entries are immutable; the map is cloned copy-on-write per derivation.
+	// touched overrides the out-lists of base slots that gained edges since
+	// the compaction; no pre-existing slot ever gains an in-edge in an
+	// overlay. Entries are immutable; the map is cloned copy-on-write per
+	// derivation.
 	touched map[int32]*slotOverlay
-
-	// edited maps edge pointers stored in the shared base/extra arrays to
-	// their current copy-on-write replacement (SetEdgeProps).
-	edited map[*Edge]*Edge
-
-	// editedVerts maps vertex pointers stored in the shared verts/extraVerts
-	// arrays to their current copy-on-write replacement (SetTaskProps /
-	// SetDataProps).
-	editedVerts map[*Vertex]*Vertex
 
 	topo    []int32
 	topoIDs []ID
@@ -102,8 +96,9 @@ type Index struct {
 	// nbrs holds, per base data slot, the distinct producer and consumer
 	// IDs, each set sorted, as sub-slices of one flat array: for the j-th
 	// data slot (slot nTasks+j) the producers are nbrs[nbrOff[2j]:nbrOff[2j+1]]
-	// and the consumers nbrs[nbrOff[2j+1]:nbrOff[2j+2]]. Valid only for
-	// untouched base slots; overlay slots are computed on demand.
+	// and the consumers nbrs[nbrOff[2j+1]:nbrOff[2j+2]]. The producer sets
+	// hold for every base slot, the consumer sets for untouched ones; overlay
+	// slots are computed on demand.
 	nbrs   []ID
 	nbrOff []int32
 
@@ -141,7 +136,7 @@ func (g *Graph) Index() *Index {
 
 // Invalidate requests a full rebuild of the indexed core, discarding the
 // incremental delta. Structural mutations (AddEdge, new vertices) and
-// SetEdgeProps flow through the O(delta) derivation automatically; call this
+// SetEdgeProps/SetTaskProps/SetDataProps are tracked automatically; call this
 // only after mutating vertex or edge properties in place through
 // previously-obtained pointers once analysis queries have already run (e.g.
 // edge props via a FindEdge pointer) — the delta tracker cannot see those.
@@ -406,21 +401,12 @@ func (ix *Index) IDAt(i int32) ID {
 	return ix.extraIDs[i-ix.baseN]
 }
 
-// VertexAt returns the vertex at dense slot i, with copy-on-write property
-// edits applied.
+// VertexAt returns the vertex at dense slot i.
 func (ix *Index) VertexAt(i int32) *Vertex {
-	var v *Vertex
 	if i < ix.baseN {
-		v = ix.verts[i]
-	} else {
-		v = ix.extraVerts[i-ix.baseN]
+		return ix.verts[i]
 	}
-	if ix.editedVerts != nil {
-		if c, ok := ix.editedVerts[v]; ok {
-			return c
-		}
-	}
-	return v
+	return ix.extraVerts[i-ix.baseN]
 }
 
 // Topo returns the deterministic topological order as dense slots, or the
@@ -455,9 +441,6 @@ func (ix *Index) Out(i int32) ([]*Edge, []int32) {
 // In returns the incoming edges of dense slot i together with their source
 // slots. Both slices are shared — do not modify.
 func (ix *Index) In(i int32) ([]*Edge, []int32) {
-	if ov := ix.overlayFor(i); ov != nil {
-		return ov.inE, ov.inS
-	}
 	if i < ix.baseN {
 		lo, hi := ix.inOff[i], ix.inOff[i+1]
 		return ix.inEdges[lo:hi], ix.inSrc[lo:hi]
@@ -490,23 +473,8 @@ func (ix *Index) canonVerts() ([]*Vertex, int) {
 		return ix.verts, ix.nTasks
 	}
 	ix.vertsOnce.Do(func() {
-		repl := func(v *Vertex) *Vertex {
-			if c, ok := ix.editedVerts[v]; ok {
-				return c
-			}
-			return v
-		}
 		base := ix.verts
-		if len(ix.editedVerts) > 0 {
-			base = make([]*Vertex, len(ix.verts))
-			for i, v := range ix.verts {
-				base[i] = repl(v)
-			}
-		}
-		extras := make([]*Vertex, len(ix.extraVerts))
-		for i, v := range ix.extraVerts {
-			extras[i] = repl(v)
-		}
+		extras := slices.Clone(ix.extraVerts)
 		slices.SortFunc(extras, func(a, b *Vertex) int { return cmpID(a.ID, b.ID) })
 		merged := make([]*Vertex, 0, ix.n)
 		i, j := 0, 0
@@ -527,32 +495,18 @@ func (ix *Index) canonVerts() ([]*Vertex, int) {
 	return ix.sortedVerts, ix.sortedNT
 }
 
-// canonEdges returns all edges in canonical (src, dst) order with
-// copy-on-write edits applied. On canonical snapshots this is the base
-// array; on overlay snapshots the merged view is materialized once, lazily.
+// canonEdges returns all edges in canonical (src, dst) order. On canonical
+// snapshots this is the base array; on overlay snapshots the merged view is
+// materialized once, lazily, with duplicate endpoints in insertion order as
+// a compaction keeps them.
 func (ix *Index) canonEdges() []*Edge {
 	if ix.canonical {
 		return ix.edges
 	}
 	ix.edgesOnce.Do(func() {
-		repl := func(e *Edge) *Edge {
-			if c, ok := ix.edited[e]; ok {
-				return c
-			}
-			return e
-		}
 		base := ix.edges
-		if len(ix.edited) > 0 {
-			base = make([]*Edge, len(ix.edges))
-			for i, e := range ix.edges {
-				base[i] = repl(e)
-			}
-		}
-		extras := make([]*Edge, len(ix.extraEdges))
-		for i, e := range ix.extraEdges {
-			extras[i] = repl(e)
-		}
-		slices.SortFunc(extras, cmpEdge)
+		extras := slices.Clone(ix.extraEdges)
+		slices.SortStableFunc(extras, cmpEdge)
 		merged := make([]*Edge, 0, len(base)+len(extras))
 		i, j := 0, 0
 		for i < len(base) && j < len(extras) {
@@ -596,7 +550,7 @@ func (ix *Index) neighborSet(k int32) []ID {
 
 // producersFor returns the distinct producer task IDs of data slot p.
 func (ix *Index) producersFor(p int32) []ID {
-	if p < ix.baseN && ix.overlayFor(p) == nil {
+	if p < ix.baseN {
 		return ix.neighborSet(2 * (p - int32(ix.nTasks)))
 	}
 	_, src := ix.In(p)

@@ -21,7 +21,8 @@
 # near-critical paths overlap heavily, so it guards the advisor staying
 # linear in the graph rather than in the total length of those paths. The incremental-index rows
 # (IncrementalIndex/append-query-100k and streaming-build-100000) guard the
-# O(delta) snapshot derivation the live-analysis path depends on, and
+# append-only O(delta) snapshot derivation that `dflrun stream` runs on (live
+# serve sessions never take it), and
 # IncrementalIndex/append-query-rebuild-100k the full compaction that every
 # fresh query on a live serve session pays. The
 # ServeIngest row guards the streaming service's durable ingest pipeline
