@@ -486,6 +486,27 @@ func BenchmarkAblation_AdvisorLayered(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_PatternsLayered measures one patterns query on
+// AdvisorLayered's graph: what serve's patterns query computes, the critical
+// path by volume, its DFL caterpillar, the caterpillar-scoped Table 1
+// detectors with their ranking, and the top-ten report.
+func BenchmarkAblation_PatternsLayered(b *testing.B) {
+	l := dfltest.NewLayered(1)
+	l.Grow(8000)
+	g := l.G
+	g.Index()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path, err := cpa.CriticalPath(g, cpa.ByVolume, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opps := patterns.Analyze(g, cpa.DFLCaterpillar(g, path), patterns.Config{})
+		_ = patterns.Report("opportunities on the caterpillar (ranked):", opps, 10)
+	}
+}
+
 // BenchmarkAblation_AdvisorParallel measures the advisor's two re-planning
 // accelerations: concurrent plan computation over one shared finished graph
 // (the indexed snapshot is built once and read by every goroutine), and
@@ -731,14 +752,32 @@ func BenchmarkAblation_IncrementalIndex(b *testing.B) {
 	const chainN = 50_000 // 100k vertices: 50k task→data pairs
 
 	b.Run("append-query-100k", func(b *testing.B) {
+		// Every appendPeriod appends start over from a fresh 100k-vertex
+		// chain, built outside the timer, so the graph an op grows and the
+		// derivations it pays do not depend on b.N. A period's overlay stays
+		// under the extras bound, max(64, base vertices), so no period
+		// compacts; compaction is timed by append-query-rebuild-100k and
+		// streaming-build-*.
+		const appendPeriod = 50_000
 		b.ReportAllocs()
-		g, tail := buildPairChain(chainN)
-		if _, err := g.TopoSort(); err != nil {
-			b.Fatal(err)
-		}
-		g.Fingerprint() // warm the sums so derivations carry them in O(delta)
-		b.ResetTimer()
+		var (
+			g         *dfl.Graph
+			tail      dfl.ID
+			fast, cmp int
+		)
 		for i := 0; i < b.N; i++ {
+			if i%appendPeriod == 0 {
+				b.StopTimer()
+				if g != nil {
+					fast, cmp = fast+g.IndexStats().Fast, cmp+g.IndexStats().Compactions
+				}
+				g, tail = buildPairChain(chainN)
+				if _, err := g.TopoSort(); err != nil {
+					b.Fatal(err)
+				}
+				g.Fingerprint() // warm the sums so derivations carry them in O(delta)
+				b.StartTimer()
+			}
 			tail = appendFrontier(g, tail, i)
 			if _, err := g.TopoSort(); err != nil {
 				b.Fatal(err)
@@ -747,8 +786,8 @@ func BenchmarkAblation_IncrementalIndex(b *testing.B) {
 		}
 		b.StopTimer()
 		st := g.IndexStats()
-		b.ReportMetric(float64(st.Fast), "fast-derivations")
-		b.ReportMetric(float64(st.Compactions), "compactions")
+		b.ReportMetric(float64(fast+st.Fast), "fast-derivations")
+		b.ReportMetric(float64(cmp+st.Compactions), "compactions")
 	})
 
 	b.Run("append-query-rebuild-100k", func(b *testing.B) {

@@ -99,6 +99,11 @@ type Plan struct {
 	TaskNode map[dfl.ID]int
 	// Opportunities are the ranked Table 1 findings the plan responds to.
 	Opportunities []patterns.Opportunity
+
+	// slots holds each placement's data slot on the snapshot Advise read.
+	// LocalityScore trusts a slot only where it still names the placement's
+	// file on the graph's current snapshot.
+	slots []int32
 }
 
 // Config tunes the advisor.
@@ -143,7 +148,11 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	threads, threadOf, ix := extractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
-	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int)}
+	tasks := 0
+	for _, th := range threads {
+		tasks += len(th.Tasks)
+	}
+	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int, tasks)}
 	for _, th := range threads {
 		for _, t := range th.Tasks {
 			plan.TaskNode[t] = th.Node
@@ -162,7 +171,7 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 		}
 		opps <- found
 	}()
-	plan.Placements = placeFiles(ix, cfg, threads, threadOf)
+	plan.Placements, plan.slots = placeFileSlots(ix, cfg, threads, threadOf)
 	plan.Opportunities = <-opps
 	return plan, nil
 }
@@ -293,7 +302,11 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 	// Flow locality: a file's flow is internal to a thread when every task
 	// touching it belongs to that thread; otherwise it counts as external for
 	// each distinct producer and each distinct consumer. Sums of integers, so
-	// the file order does not matter.
+	// the file order does not matter. Every task is claimed by now and no
+	// other vertex is, so claimed picks out the task peers: on a DFL graph
+	// all of a file's peers, but a file→file edge (AddUncheckedEdge) has a
+	// data peer, which belongs to no thread, and a file with no task peer
+	// adds to no thread.
 	seen := make([]int32, n) // the last 2*file+set+1 stamp that reached each slot
 	for d := int32(0); d < int32(n); d++ {
 		if ix.IDAt(d).Kind != dfl.DataVertex {
@@ -301,7 +314,20 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 		}
 		inE, srcs := ix.In(d)
 		outE, dsts := ix.Out(d)
-		if len(srcs)+len(dsts) == 0 {
+		home, internal := int32(-1), true
+		for _, peers := range [2][]int32{srcs, dsts} {
+			for _, q := range peers {
+				if !claimed[q] {
+					continue
+				}
+				if home < 0 {
+					home = threadOf[q]
+				} else if threadOf[q] != home {
+					internal = false
+				}
+			}
+		}
+		if home < 0 {
 			continue
 		}
 		var vol uint64
@@ -311,19 +337,6 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 		for _, e := range outE {
 			vol += e.Props.Volume
 		}
-		var home int32
-		if len(srcs) > 0 {
-			home = threadOf[srcs[0]]
-		} else {
-			home = threadOf[dsts[0]]
-		}
-		internal := true
-		for _, q := range srcs {
-			internal = internal && threadOf[q] == home
-		}
-		for _, q := range dsts {
-			internal = internal && threadOf[q] == home
-		}
 		if internal {
 			threads[home].InternalFlow += vol
 			continue
@@ -331,7 +344,7 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 		for set, peers := range [2][]int32{srcs, dsts} {
 			stamp := 2*d + int32(set) + 1
 			for _, q := range peers {
-				if seen[q] != stamp {
+				if claimed[q] && seen[q] != stamp {
 					seen[q] = stamp
 					threads[threadOf[q]].ExternalFlow += vol
 				}
@@ -381,10 +394,19 @@ func BalanceThreads(threads []Thread, nodes int) {
 	}
 }
 
-// placeFiles classifies every data vertex of the snapshot, given each slot's
-// thread. Files are scored in ID order: the final sort by volume is not
-// stable, so its input order is part of the output.
+// placeFiles is placeFileSlots without the slots.
 func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) []FilePlacement {
+	out, _ := placeFileSlots(ix, cfg, threads, threadOf)
+	return out
+}
+
+// placeFileSlots classifies every data vertex of the snapshot, given each
+// slot's thread, and returns the placements by descending volume with each
+// one's slot. The volume sort is not stable, so the order it starts from is
+// part of the output: it sorts a permutation of the files in ID order, which
+// gives the order sorting the placements themselves from ID order would,
+// and the placements are then built in that order.
+func placeFileSlots(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) ([]FilePlacement, []int32) {
 	var files []int32
 	for p := int32(0); p < int32(ix.Len()); p++ {
 		if ix.IDAt(p).Kind == dfl.DataVertex {
@@ -392,28 +414,40 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 		}
 	}
 	if len(files) == 0 {
-		return nil
+		return nil, nil
 	}
 	sortByID(ix, files)
-	out := make([]FilePlacement, len(files))
-	seen := make([]int32, ix.Len())      // distinct-peer stamps: 2*file+1 consumers, 2*file+2 producers
-	nodeSeen := make([]int32, cfg.Nodes) // the last file+1 that touched each node
-	var producers []int32
+	vols := make([]uint64, len(files))
 	for i, d := range files {
-		v := ix.VertexAt(d)
-		inE, srcs := ix.In(d)
-		outE, dsts := ix.Out(d)
-		var vol uint64
+		inE, _ := ix.In(d)
+		outE, _ := ix.Out(d)
 		for _, e := range inE {
-			vol += e.Props.Volume
+			vols[i] += e.Props.Volume
 		}
 		for _, e := range outE {
-			vol += e.Props.Volume
+			vols[i] += e.Props.Volume
 		}
+	}
+	slots := make([]int32, len(files)) // a permutation of the file indices, then their slots
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	sort.Slice(slots, func(a, b int) bool { return vols[slots[a]] > vols[slots[b]] })
+	out := make([]FilePlacement, len(files))
+	seen := make([]int32, ix.Len())      // distinct-peer stamps: 2*k+1 consumers, 2*k+2 producers
+	nodeSeen := make([]int32, cfg.Nodes) // the last k+1 that touched each node
+	var producers []int32
+	for k, fi := range slots {
+		d := files[fi]
+		slots[k] = d
+		vol := vols[fi]
+		v := ix.VertexAt(d)
+		_, srcs := ix.In(d)
+		_, dsts := ix.Out(d)
 		consumers := 0
 		for _, q := range dsts {
-			if seen[q] != int32(2*i+1) {
-				seen[q] = int32(2*i + 1)
+			if seen[q] != int32(2*k+1) {
+				seen[q] = int32(2*k + 1)
 				consumers++
 			}
 		}
@@ -429,8 +463,8 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 				} else if th != home {
 					sameThread = false
 				}
-				if nd := threads[th].Node; nodeSeen[nd] != int32(i+1) {
-					nodeSeen[nd] = int32(i + 1)
+				if nd := threads[th].Node; nodeSeen[nd] != int32(k+1) {
+					nodeSeen[nd] = int32(k + 1)
 					nodes++
 				}
 			}
@@ -440,12 +474,11 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 			// Read-only input with wide fan-out: the 1000 Genomes columns
 			// pattern — stage a copy per consuming node.
 			fp.Class = StagedCopy
-			fp.Why = fmt.Sprintf("read-only input with %d consumers across %d node(s): duplicated, congested flow",
-				consumers, nodes)
+			fp.Why = stagedWhy(consumers, nodes)
 		case home >= 0 && sameThread:
 			fp.Class = NodeLocal
 			fp.Thread = int(home)
-			fp.Why = fmt.Sprintf("all producer-consumer flow stays inside thread %d", home)
+			fp.Why = threadWhy(int(home))
 		case nodes == 1 && home >= 0:
 			// Different threads, but balanced onto the same node. The plan
 			// names the thread of the first task in ID order.
@@ -454,7 +487,7 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 			fp.Why = "all accessing threads share one node"
 		default:
 			fp.Class = SharedFS
-			fp.Why = fmt.Sprintf("crosses %d node(s); keep on shared storage", nodes)
+			fp.Why = sharedWhy(nodes)
 		}
 		if cfg.CrashesPerHour > 0 && fp.Class != SharedFS {
 			// Volatile placement: price the crash exposure over the file's
@@ -465,8 +498,8 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 			fp.RerunRisk = faults.CrashProbability(cfg.CrashesPerHour, v.Data.Lifetime)
 			producers = producers[:0]
 			for _, q := range srcs {
-				if seen[q] != int32(2*i+2) {
-					seen[q] = int32(2*i + 2)
+				if seen[q] != int32(2*k+2) {
+					seen[q] = int32(2*k + 2)
 					producers = append(producers, q)
 				}
 			}
@@ -477,10 +510,9 @@ func placeFiles(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int32) [
 			}
 			fp.RerunCost = fp.RerunRisk * rerun
 		}
-		out[i] = fp
+		out[k] = fp
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Volume > out[j].Volume })
-	return out
+	return out, slots
 }
 
 // firstByID returns the producer with the smallest ID, or the consumer with
@@ -503,14 +535,16 @@ func firstByID(ix *dfl.Index, srcs, dsts []int32) int32 {
 // Report renders the plan.
 func (p *Plan) Report(limit int) string {
 	var b strings.Builder
+	b.Grow(64 * (len(p.Threads) + 8))
 	fmt.Fprintf(&b, "advisor plan: %d threads\n", len(p.Threads))
-	for _, th := range p.Threads {
+	var line [96]byte
+	for i := range p.Threads {
+		th := &p.Threads[i]
 		loc := 1.0
 		if tot := th.InternalFlow + th.ExternalFlow; tot > 0 {
 			loc = float64(th.InternalFlow) / float64(tot)
 		}
-		fmt.Fprintf(&b, "  thread %d -> node %d: %d tasks, work %.3gs, locality %.0f%%\n",
-			th.ID, th.Node, len(th.Tasks), th.Work, 100*loc)
+		b.Write(appendThreadLine(line[:0], th.ID, th.Node, len(th.Tasks), th.Work, 100*loc))
 	}
 	b.WriteString("file placements (by volume):\n")
 	n := limit
@@ -538,8 +572,15 @@ func (p *Plan) LocalityScore(g *dfl.Graph) float64 {
 	// so the edge order does not matter.
 	ix := g.Index()
 	class := make([]TierClass, ix.Len())
-	for _, fp := range p.Placements {
-		if s := ix.Pos(fp.File); s >= 0 {
+	for k, fp := range p.Placements {
+		s := int32(-1)
+		if k < len(p.slots) {
+			s = p.slots[k]
+		}
+		if s < 0 || int(s) >= ix.Len() || ix.IDAt(s) != fp.File {
+			s = ix.Pos(fp.File)
+		}
+		if s >= 0 {
 			class[s] = fp.Class
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // The order-taint engine. One walk of a function body tracks which values
@@ -904,6 +905,11 @@ func isOrderPreserving(pkg, name string) bool {
 		return name == "Sprintf" || name == "Sprint" || name == "Sprintln"
 	case "strings":
 		return name == "Join"
+	case "strconv":
+		// The Append* family, Format*, Quote* and Itoa render their operand
+		// as fmt would.
+		return strings.HasPrefix(name, "Append") || strings.HasPrefix(name, "Format") ||
+			strings.HasPrefix(name, "Quote") || name == "Itoa"
 	case "slices":
 		return name == "Clone" || name == "Collect" || name == "Concat" ||
 			name == "Compact" || name == "Clip"

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"datalife/internal/analysis/testdata/src/maporder/dep"
 )
@@ -119,6 +120,41 @@ func deltaReplayUnsorted(pend map[int32]string) {
 		out = append(out, v)
 	}
 	fmt.Println(out) // want "order-tainted value reaches"
+}
+
+func appendQuoted(m map[string]int) {
+	// A detail built with strconv appends rather than fmt.Sprintf keeps the
+	// map order of the names it quotes.
+	var b []byte
+	for k := range m {
+		b = strconv.AppendQuote(b, k)
+	}
+	fmt.Println(string(b)) // want "order-tainted value reaches"
+}
+
+func pickedThenQuoted(m map[string]int) {
+	// The first key found, the way a detector once picked a task template
+	// by map order, rendered without fmt.
+	first := ""
+	for k := range m {
+		first = k
+		break
+	}
+	fmt.Println(strconv.Quote(first) + ": " + strconv.Itoa(m[first])) // want "order-tainted value reaches"
+}
+
+func appendQuotedSorted(m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b []byte
+	for _, k := range keys {
+		b = strconv.AppendQuote(b, k)
+		b = strconv.AppendInt(b, int64(m[k]), 10)
+	}
+	fmt.Println(string(b)) // clean: rendered from the sorted slice
 }
 
 func suppressed(m map[string]int) {

@@ -207,11 +207,18 @@ func SolvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*PathDP, error) {
 			sinks = append(sinks, vi)
 		}
 	}
+	// Ties go to the smaller ID string, "kind:name". Both kind names are four
+	// bytes, so comparing the kind name and then the name gives that order
+	// without building the strings.
 	sort.Slice(sinks, func(i, j int) bool {
 		if dist[sinks[i]] != dist[sinks[j]] {
 			return dist[sinks[i]] > dist[sinks[j]]
 		}
-		return ix.IDAt(sinks[i]).String() < ix.IDAt(sinks[j]).String()
+		a, b := ix.IDAt(sinks[i]), ix.IDAt(sinks[j])
+		if ka, kb := a.Kind.String(), b.Kind.String(); ka != kb {
+			return ka < kb
+		}
+		return a.Name < b.Name
 	})
 	return &PathDP{Index: ix, Sinks: sinks, Pred: pred, dist: dist}, nil
 }
@@ -385,8 +392,10 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 		return true
 	}
 	spinePos := make([]int32, 0, len(spine.Vertices))
+	prev := int32(-1)
 	for _, id := range spine.Vertices {
-		p := ix.Pos(id)
+		p := spineSlot(ix, prev, id)
+		prev = p
 		if p < 0 {
 			// Malformed spine vertex not in the graph: track it separately so
 			// Contains/Size still see it.
@@ -440,6 +449,23 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 	sortIDs(c.Legs)
 	sortIDs(c.Extended)
 	return c
+}
+
+// spineSlot returns the slot of spine vertex id, given the slot of the
+// vertex before it (-1 for none). On a path the critical-path DP built, id is
+// an out-neighbour of that slot, so a scan of its out-list finds it without a
+// Pos search; a hand-built path may skip, repeat or reverse vertices, and
+// then Pos resolves it.
+func spineSlot(ix *dfl.Index, prev int32, id dfl.ID) int32 {
+	if prev >= 0 {
+		_, dsts := ix.Out(prev)
+		for _, d := range dsts {
+			if ix.IDAt(d) == id {
+				return d
+			}
+		}
+	}
+	return ix.Pos(id)
 }
 
 func idsAt(ix *dfl.Index, pos []int32) []dfl.ID {

@@ -2,7 +2,6 @@ package dfl
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,13 +10,13 @@ import (
 // buildIndexReference is the sort-based rebuild that counting-pass
 // compaction replaced, kept as its test oracle: IDs comparison-sorted, CSR
 // adjacency walked per vertex through the ID-keyed accessors, edges
-// stable-sorted by (src, dst) through Pos lookups (so duplicate endpoints
-// keep insertion order), and each neighbor set sorted per data vertex.
+// stable-sorted by (src, dst) through position lookups in an ID-keyed table
+// (so duplicate endpoints keep insertion order), and each neighbor set sorted
+// per data vertex.
 func buildIndexReference(g *Graph) *Index {
 	n := g.NumVertices()
 	ix := &Index{
 		ids:       make([]ID, 0, n),
-		pos:       make(map[ID]int32, n),
 		canonical: true,
 	}
 	for id := range g.slots {
@@ -25,8 +24,9 @@ func buildIndexReference(g *Graph) *Index {
 	}
 	slices.SortFunc(ix.ids, cmpID)
 	ix.verts = make([]*Vertex, n)
+	pos := make(map[ID]int32, n)
 	for i, id := range ix.ids {
-		ix.pos[id] = int32(i)
+		pos[id] = int32(i)
 		ix.verts[i] = g.Vertex(id)
 		if id.Kind == TaskVertex {
 			ix.nTasks = i + 1
@@ -47,22 +47,22 @@ func buildIndexReference(g *Graph) *Index {
 	for i, id := range ix.ids {
 		for _, e := range g.Out(id) {
 			ix.outEdges = append(ix.outEdges, e)
-			ix.outDst = append(ix.outDst, ix.pos[e.Dst])
+			ix.outDst = append(ix.outDst, pos[e.Dst])
 		}
 		ix.outOff[i+1] = int32(len(ix.outEdges))
 		for _, e := range g.In(id) {
 			ix.inEdges = append(ix.inEdges, e)
-			ix.inSrc = append(ix.inSrc, ix.pos[e.Src])
+			ix.inSrc = append(ix.inSrc, pos[e.Src])
 		}
 		ix.inOff[i+1] = int32(len(ix.inEdges))
 	}
 
 	ix.edges = slices.Clone(g.edges)
 	slices.SortStableFunc(ix.edges, func(a, b *Edge) int {
-		if c := ix.pos[a.Src] - ix.pos[b.Src]; c != 0 {
+		if c := pos[a.Src] - pos[b.Src]; c != 0 {
 			return int(c)
 		}
-		return int(ix.pos[a.Dst] - ix.pos[b.Dst])
+		return int(pos[a.Dst] - pos[b.Dst])
 	})
 
 	for _, e := range g.edges {
@@ -113,7 +113,9 @@ func assertCompactionMatchesReference(t *testing.T, g *Graph, ix *Index) {
 	}
 	same("ids", slices.Equal(ix.ids, ref.ids))
 	same("verts", slices.Equal(ix.verts, ref.verts))
-	same("Pos table", maps.Equal(ix.pos, ref.pos))
+	for i, id := range ref.ids {
+		same("Pos of "+id.String(), ix.Pos(id) == int32(i))
+	}
 	same("outOff", slices.Equal(ix.outOff, ref.outOff))
 	same("inOff", slices.Equal(ix.inOff, ref.inOff))
 	same("outEdges", slices.Equal(ix.outEdges, ref.outEdges))
@@ -262,4 +264,70 @@ func TestCompactionMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPosAbsentIDs checks Pos on IDs a snapshot lacks: a name before the
+// first, after the last and between two neighbours, the empty name, the same
+// name under the other kind, and an unknown kind. It checks them on a
+// canonical snapshot, on an overlay snapshot derived from it in O(delta), and
+// on the canonical snapshot again once the overlay's vertex exists, and
+// checks that every present ID, an unknown-kind vertex included, resolves to
+// its slot.
+func TestPosAbsentIDs(t *testing.T) {
+	g := New()
+	mustEdge := func(src, dst ID, kind EdgeKind) {
+		t.Helper()
+		if _, err := g.AddEdge(src, dst, kind, FlowProps{Volume: 1, Latency: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// task:b → data:c → task:d → data:e; canonical slots b, d, c, e.
+	mustEdge(TaskID("b"), DataID("c"), Producer)
+	mustEdge(DataID("c"), TaskID("d"), Consumer)
+	mustEdge(TaskID("d"), DataID("e"), Producer)
+	absent := []ID{
+		TaskID("a"), DataID("a"), // before the first
+		TaskID("z"), DataID("z"), // after the last
+		TaskID("bb"), DataID("cc"), // between two neighbours
+		TaskID(""), DataID(""), // the empty name
+		TaskID("c"), DataID("b"), DataID("d"), TaskID("e"), // the other kind
+		{Kind: 7, Name: "c"}, {Kind: 7, Name: ""}, // an unknown kind
+	}
+	check := func(what string, ix *Index, present []ID, absent []ID) {
+		t.Helper()
+		for _, id := range present {
+			if p := ix.Pos(id); p < 0 || ix.IDAt(p) != id {
+				t.Fatalf("%s: Pos(%v) = %d", what, id, p)
+			}
+		}
+		for _, id := range absent {
+			if p := ix.Pos(id); p != -1 {
+				t.Fatalf("%s: Pos(%v) = %d for an absent ID", what, id, p)
+			}
+		}
+	}
+	canon := g.Index()
+	base := []ID{TaskID("b"), TaskID("d"), DataID("c"), DataID("e")}
+	if !canon.canonical {
+		t.Fatal("the first snapshot must be canonical")
+	}
+	check("canonical", canon, base, absent)
+
+	// A consumer of the topological tail is an O(delta) append.
+	mustEdge(DataID("e"), TaskID("f"), Consumer)
+	over := g.Index()
+	if over.canonical || g.IndexStats().Fast != 1 {
+		t.Fatalf("expected an overlay snapshot, got canonical=%v stats %+v", over.canonical, g.IndexStats())
+	}
+	check("overlay", over, append(slices.Clone(base), TaskID("f")),
+		append(slices.Clone(absent), DataID("f"), TaskID("ff"), TaskID("g")))
+	check("pinned canonical", canon, base, []ID{TaskID("f")})
+
+	// Vertices of a kind beyond data sort after the data vertices and are
+	// searched with them.
+	g.AddUncheckedEdge(ID{Kind: 2, Name: "q"}, DataID("c"), Producer, FlowProps{Volume: 1})
+	g.Invalidate()
+	mixed := g.Index()
+	check("mixed kinds", mixed, append(slices.Clone(base), TaskID("f"), ID{Kind: 2, Name: "q"}),
+		[]ID{{Kind: 2, Name: "c"}, {Kind: 2, Name: "z"}, DataID("q"), TaskID("q")})
 }

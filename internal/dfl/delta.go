@@ -380,7 +380,6 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 
 	ix := &Index{
 		ids:    prev.ids,
-		pos:    prev.pos,
 		verts:  prev.verts,
 		nTasks: prev.nTasks,
 		baseN:  baseN,

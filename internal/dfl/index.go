@@ -39,9 +39,9 @@ import (
 // are shared views: callers must not modify them.
 type Index struct {
 	// Base: frozen at the last compaction, shared by every snapshot of the
-	// epoch. ids/verts are in canonical (kind, name) order.
+	// epoch. ids/verts are in canonical (kind, name) order, which Pos
+	// binary-searches.
 	ids   []ID
-	pos   map[ID]int32
 	verts []*Vertex
 	// nTasks splits the base: [0,nTasks) are tasks, [nTasks,baseN) are data.
 	nTasks int
@@ -168,17 +168,15 @@ func cmpEdge(a, b *Edge) int {
 }
 
 // buildIndex is the full (compacting) rebuild: everything re-frozen in
-// canonical order with an empty overlay. It hashes no ID except to fill the
-// snapshot's own Pos table and sorts no edge: the vertex order merges the
-// slots added since the previous compaction into that compaction's order,
-// and the CSR adjacency, the canonical edge order and the neighbor sets come
-// from counting passes over slots.
+// canonical order with an empty overlay. It hashes no ID and sorts no edge:
+// the vertex order merges the slots added since the previous compaction into
+// that compaction's order, and the CSR adjacency, the canonical edge order
+// and the neighbor sets come from counting passes over slots.
 func buildIndex(g *Graph) *Index {
 	order, rank := g.canonicalOrder()
 	n := len(order)
 	ix := &Index{
 		ids:       make([]ID, n),
-		pos:       make(map[ID]int32, n),
 		verts:     make([]*Vertex, n),
 		baseN:     int32(n),
 		n:         n,
@@ -187,7 +185,6 @@ func buildIndex(g *Graph) *Index {
 	for i, s := range order {
 		v := g.verts[s]
 		ix.ids[i] = v.ID
-		ix.pos[v.ID] = int32(i)
 		ix.verts[i] = v
 		if v.ID.Kind == TaskVertex {
 			ix.nTasks = i + 1
@@ -378,10 +375,25 @@ func (ix *Index) buildNeighbors() {
 // Len returns the number of vertices.
 func (ix *Index) Len() int { return ix.n }
 
-// Pos returns the dense slot of id, or -1 when absent from this snapshot.
+// Pos returns the dense slot of id, or -1 when absent from this snapshot. A
+// base vertex is found by binary search of the canonical base, whose tasks
+// are [0,nTasks) and the rest [nTasks,baseN); an overlay vertex through the
+// epoch's overlay table.
 func (ix *Index) Pos(id ID) int32 {
-	if p, ok := ix.pos[id]; ok {
-		return p
+	lo, end := 0, ix.nTasks
+	if id.Kind != TaskVertex {
+		lo, end = ix.nTasks, int(ix.baseN)
+	}
+	for hi := end; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if c := ix.ids[m]; c.Kind < id.Kind || c.Kind == id.Kind && c.Name < id.Name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < end && ix.ids[lo] == id {
+		return int32(lo)
 	}
 	if ix.posExtra != nil {
 		if v, ok := ix.posExtra.Load(id); ok {

@@ -107,7 +107,7 @@ func EstimateBenefits(g *dfl.Graph, opps []Opportunity, env ResourceEnvelope) []
 		}
 		out = append(out, Benefit{Opportunity: o, SavedSeconds: saved, Mechanism: how})
 	}
-	rankBy(out, func(b *Benefit) float64 { return b.SavedSeconds }, (*Benefit).String)
+	rankBy(out, func(b *Benefit) float64 { return b.SavedSeconds }, (*Benefit).appendText)
 	return out
 }
 

@@ -14,6 +14,7 @@
 package patterns
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -104,20 +105,7 @@ type Entity struct {
 	Detail string
 }
 
-func (e Entity) String() string {
-	switch e.Kind {
-	case DataEntity:
-		return fmt.Sprintf("%s (%.4g)", e.Data.Name, e.Value)
-	case TaskEntity:
-		return fmt.Sprintf("%s (%.4g)", e.Producer.Name, e.Value)
-	case ProducerRelation:
-		return fmt.Sprintf("%s→%s (%.4g)", e.Producer.Name, e.Data.Name, e.Value)
-	case ConsumerRelation:
-		return fmt.Sprintf("%s→%s (%.4g)", e.Data.Name, e.Consumer.Name, e.Value)
-	default:
-		return fmt.Sprintf("%s→%s→%s (%.4g)", e.Producer.Name, e.Data.Name, e.Consumer.Name, e.Value)
-	}
-}
+func (e Entity) String() string { return string(e.appendText(nil)) }
 
 // EdgeMetric scores an edge for projection/ranking.
 type EdgeMetric func(e *dfl.Edge) float64
@@ -195,7 +183,7 @@ func Project(g *dfl.Graph, kind EntityKind, metric EdgeMetric) []Entity {
 					out = append(out, Entity{Kind: kind,
 						Producer: pe.Src, Data: v.ID, Consumer: ce.Dst,
 						Value:  val,
-						Detail: fmt.Sprintf("in=%.4g out=%.4g", pv, cv)})
+						Detail: projectDetail(pv, cv)})
 				}
 			}
 		}
@@ -205,28 +193,33 @@ func Project(g *dfl.Graph, kind EntityKind, metric EdgeMetric) []Entity {
 
 // Rank sorts entities by descending value (ties by name) and returns them.
 func Rank(entities []Entity) []Entity {
-	rankBy(entities, func(e *Entity) float64 { return e.Value }, (*Entity).String)
+	rankBy(entities, func(e *Entity) float64 { return e.Value }, (*Entity).appendText)
 	return entities
 }
 
 // rankBy sorts items in place by descending value, ties by ascending key,
 // with sort.SliceStable. Each value and key is computed once, not once per
-// comparison: keys are rendered strings, which allocate. The sort permutes
-// indices under the comparator the items themselves would get, so the order
-// is the one sorting the items gives.
-func rankBy[T any](items []T, value func(*T) float64, key func(*T) string) {
+// comparison: nearly every key is compared, since few values are distinct, so
+// the keys are appended into one byte arena rather than rendered as a string
+// each. Byte-wise comparison of the arena slices is the string order. The
+// sort permutes indices under the comparator the items themselves would get,
+// so the order is the one sorting the items gives.
+func rankBy[T any](items []T, value func(*T) float64, appendKey func(*T, []byte) []byte) {
 	vals := make([]float64, len(items))
-	keys := make([]string, len(items))
+	off := make([]int, len(items)+1) // item i's key is arena[off[i]:off[i+1]]
 	idx := make([]int, len(items))
+	var arena []byte
 	for i := range items {
-		vals[i], keys[i], idx[i] = value(&items[i]), key(&items[i]), i
+		vals[i], idx[i] = value(&items[i]), i
+		arena = appendKey(&items[i], arena)
+		off[i+1] = len(arena)
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		i, j := idx[a], idx[b]
 		if vals[i] != vals[j] {
 			return vals[i] > vals[j]
 		}
-		return keys[i] < keys[j]
+		return bytes.Compare(arena[off[i]:off[i+1]], arena[off[j]:off[j+1]]) < 0
 	})
 	ranked := make([]T, len(items))
 	for k, i := range idx {

@@ -82,17 +82,7 @@ type Opportunity struct {
 	MustValidate bool
 }
 
-func (o Opportunity) String() string {
-	names := make([]string, len(o.Vertices))
-	for i, v := range o.Vertices {
-		names[i] = v.Name
-	}
-	v := ""
-	if o.MustValidate {
-		v = " [Must validate]"
-	}
-	return fmt.Sprintf("%-22s sev=%.4g %v: %s%s", o.Kind, o.Severity, names, o.Detail, v)
-}
+func (o Opportunity) String() string { return string(o.appendText(nil)) }
 
 // Config tunes detector thresholds. Zero values select defaults.
 type Config struct {
@@ -157,7 +147,7 @@ func analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config, tasks, data []*dfl.
 	out = append(out, detectCriticalFlow(g, cat)...)
 	out = append(out, detectParallelismTradeoff(g, tasks, cfg)...)
 	out = append(out, detectTaskCompositions(g, tasks)...)
-	rankBy(out, func(o *Opportunity) float64 { return o.Severity }, (*Opportunity).String)
+	rankBy(out, func(o *Opportunity) float64 { return o.Severity }, (*Opportunity).appendText)
 	return out
 }
 
@@ -178,8 +168,7 @@ func detectDataVolume(g *dfl.Graph, edges []*dfl.Edge) []Opportunity {
 	for _, e := range edges {
 		if e.Props.Volume > thresh {
 			out = append(out, newOpp(DataVolume, float64(e.Props.Volume),
-				fmt.Sprintf("flow carries %d B (%.0f%% of workflow volume)",
-					e.Props.Volume, 100*float64(e.Props.Volume)/float64(total)),
+				volumeDetail(e.Props.Volume, 100*float64(e.Props.Volume)/float64(total)),
 				false, e.Src, e.Dst))
 		}
 	}
@@ -211,8 +200,7 @@ func detectMismatchedRate(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 				vol += float64(e.Props.Volume)
 			}
 			out = append(out, newOpp(MismatchedRate, vol*math.Log2(ratio),
-				fmt.Sprintf("producer rate %.3g B/s vs consumer rate %.3g B/s (%.1fx)",
-					inRate, outRate, ratio),
+				rateDetail(inRate, outRate, ratio),
 				false, v.ID))
 		}
 	}
@@ -227,7 +215,7 @@ func detectDataNonUse(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 	for _, v := range data {
 		if g.InDegree(v.ID) > 0 && g.OutDegree(v.ID) == 0 {
 			out = append(out, newOpp(DataNonUse, float64(v.Data.Size),
-				fmt.Sprintf("produced (%d B) but never consumed", v.Data.Size),
+				unconsumedDetail(v.Data.Size),
 				false, v.ID))
 			continue
 		}
@@ -239,8 +227,7 @@ func detectDataNonUse(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 			if frac < nonUseFraction {
 				unused := float64(v.Data.Size) - float64(e.Props.Footprint)
 				out = append(out, newOpp(DataNonUse, unused,
-					fmt.Sprintf("consumer %s touches %.0f%% of %d B file",
-						e.Dst.Name, 100*frac, v.Data.Size),
+					partialUseDetail(e.Dst.Name, 100*frac, v.Data.Size),
 					false, v.ID, e.Dst))
 			}
 		}
@@ -261,17 +248,8 @@ func detectIntraTaskLocality(edges []*dfl.Edge) []Opportunity {
 		if !spatial && !reuse {
 			continue
 		}
-		kinds := ""
-		if spatial {
-			kinds = fmt.Sprintf("spatial locality (%.0f%% accesses < block; %.0f%% distance-0)",
-				100*e.Props.SmallDistFrac, 100*e.Props.ZeroDistFrac)
-		}
-		if reuse {
-			if kinds != "" {
-				kinds += "; "
-			}
-			kinds += fmt.Sprintf("intra-task reuse %.1fx", e.Props.ReuseFactor())
-		}
+		kinds := localityDetail(spatial, reuse,
+			100*e.Props.SmallDistFrac, 100*e.Props.ZeroDistFrac, e.Props.ReuseFactor())
 		out = append(out, newOpp(IntraTaskLocality,
 			float64(e.Props.Volume)*math.Max(e.Props.SmallDistFrac, e.Props.ReuseFactor()-1),
 			kinds, false, e.Src, e.Dst))
@@ -309,12 +287,7 @@ func detectInterTaskLocality(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 				loopTemplate, loopN = tpl, n
 			}
 		}
-		detail := fmt.Sprintf("%d consumers share this data (%.4g B total read)",
-			len(consumers), vol)
-		if loopTemplate != "" {
-			detail += fmt.Sprintf("; %d are instances of task %q (loop reuse — retain data across iterations)",
-				loopN, loopTemplate)
-		}
+		detail := sharedDetail(len(consumers), vol, loopN, loopTemplate)
 		vs := append([]dfl.ID{v.ID}, consumers...)
 		out = append(out, newOpp(InterTaskLocality, vol*float64(len(consumers)-1),
 			detail, false, vs...))
@@ -344,8 +317,7 @@ func detectCriticalFlow(g *dfl.Graph, cat *cpa.Caterpillar) []Opportunity {
 			continue
 		}
 		out = append(out, newOpp(CriticalFlow, e.Props.Latency,
-			fmt.Sprintf("flow blocks %.3gs (%.0f%% of spine latency)",
-				e.Props.Latency, 100*share), true, e.Src, e.Dst))
+			criticalFlowDetail(e.Props.Latency, 100*share), true, e.Src, e.Dst))
 	}
 	return out
 }
@@ -360,8 +332,7 @@ func detectParallelismTradeoff(g *dfl.Graph, tasks []*dfl.Vertex, cfg Config) []
 			continue
 		}
 		out = append(out, newOpp(ParallelismTradeoff, float64(in),
-			fmt.Sprintf("consumer has in-degree %d (implies %d concurrent producer flows)", in, in),
-			true, v.ID))
+			parallelismDetail(in), true, v.ID))
 	}
 	return out
 }
@@ -381,7 +352,7 @@ func detectTaskCompositions(g *dfl.Graph, tasks []*dfl.Vertex) []Opportunity {
 				vol += float64(e.Props.Volume)
 			}
 			out = append(out, newOpp(SplitterPattern, vol,
-				fmt.Sprintf("scatters into %d outputs", outd), false, v.ID))
+				splitterDetail(outd), false, v.ID))
 		}
 
 		// Aggregator: many inputs of similar size, combined output(s).
@@ -399,12 +370,10 @@ func detectTaskCompositions(g *dfl.Graph, tasks []*dfl.Vertex) []Opportunity {
 				}
 				if inVol > 0 && outVol > 0 && outVol/inVol < compressRatio {
 					out = append(out, newOpp(CompressorAggregator, inVol,
-						fmt.Sprintf("combines %d inputs (%.4g B) into %.4g B (%.1f%% ratio)",
-							in, inVol, outVol, 100*outVol/inVol), false, v.ID))
+						compressorDetail(in, inVol, outVol, 100*outVol/inVol), false, v.ID))
 				} else {
 					out = append(out, newOpp(AggregatorPattern, inVol,
-						fmt.Sprintf("combines %d similar inputs (%.4g B, cv=%.2f)",
-							in, inVol, cv), false, v.ID))
+						aggregatorDetail(in, inVol, cv), false, v.ID))
 				}
 
 				// Composition: aggregator followed by a regular task (§5.4).
@@ -413,8 +382,7 @@ func detectTaskCompositions(g *dfl.Graph, tasks []*dfl.Vertex) []Opportunity {
 						if Classify(g, ce.Dst) == Regular || g.InDegree(ce.Dst) == 1 {
 							out = append(out, newOpp(AggregatorThenRegular,
 								float64(pe.Props.Volume),
-								fmt.Sprintf("aggregate output %s feeds single consumer %s",
-									pe.Dst.Name, ce.Dst.Name),
+								feedsDetail(pe.Dst.Name, ce.Dst.Name),
 								false, v.ID, pe.Dst, ce.Dst))
 						}
 					}

@@ -15,14 +15,16 @@
 #
 # After writing the snapshot, the script compares the analysis and simulator
 # hot-path benchmarks (AnalysisLinearity/chain-10000, Advisor, AdvisorLayered,
-# and the SimEngine stress suite) against the checked-in BENCH_*.json
-# trajectory and exits non-zero on a >20% ns/op regression. AdvisorLayered
-# runs the advisor on serve-mixed's graph shape, where the ranked
-# near-critical paths overlap heavily, so it guards the advisor staying
-# linear in the graph rather than in the total length of those paths. The incremental-index rows
-# (IncrementalIndex/append-query-100k and streaming-build-100000) guard the
-# append-only O(delta) snapshot derivation that `dflrun stream` runs on (live
-# serve sessions never take it), and
+# PatternsLayered, and the SimEngine stress suite) against the checked-in
+# BENCH_*.json trajectory and exits non-zero on a >20% ns/op regression.
+# AdvisorLayered runs the advisor on serve-mixed's graph shape, where the
+# ranked near-critical paths overlap heavily, so it guards the advisor staying
+# linear in the graph rather than in the total length of those paths;
+# PatternsLayered runs serve's patterns query (critical path, caterpillar,
+# the Table 1 detectors and their ranking) on the same graph. The
+# incremental-index rows (IncrementalIndex/append-query-100k and
+# streaming-build-100000) guard the append-only O(delta) snapshot derivation
+# that `dflrun stream` runs on (live serve sessions never take it), and
 # IncrementalIndex/append-query-rebuild-100k the full compaction that every
 # fresh query on a live serve session pays. The
 # ServeIngest row guards the streaming service's durable ingest pipeline
@@ -106,7 +108,7 @@ median_ns() {
 }
 
 status=0
-for name in 'AnalysisLinearity/chain-10000' 'Advisor' 'AdvisorLayered' \
+for name in 'AnalysisLinearity/chain-10000' 'Advisor' 'AdvisorLayered' 'PatternsLayered' \
     'SimEngine/chain-100k' 'SimEngine/chain-100k-linked' \
     'SimEngine/fan-in-100k' 'SimEngine/faulty-sweep' \
     'IncrementalIndex/append-query-100k' 'IncrementalIndex/append-query-rebuild-100k' \
