@@ -19,7 +19,6 @@ package advisor
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -95,8 +94,6 @@ type FilePlacement struct {
 type Plan struct {
 	Threads    []Thread
 	Placements []FilePlacement
-	// TaskNode maps every task to its assigned node index.
-	TaskNode map[dfl.ID]int
 	// Opportunities are the ranked Table 1 findings the plan responds to.
 	Opportunities []patterns.Opportunity
 
@@ -148,16 +145,7 @@ func Advise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	threads, threadOf, ix := extractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
-	tasks := 0
-	for _, th := range threads {
-		tasks += len(th.Tasks)
-	}
-	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int, tasks)}
-	for _, th := range threads {
-		for _, t := range th.Tasks {
-			plan.TaskNode[t] = th.Node
-		}
-	}
+	plan := &Plan{Threads: threads}
 	// Placement scoring and opportunity mining are independent read-only
 	// passes over the graph; overlap them. The merge is deterministic: each
 	// result lands in its own Plan field.
@@ -293,7 +281,7 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 			rest = append(rest, p)
 		}
 	}
-	sortByID(ix, rest)
+	ix.SortByID(rest)
 	for _, p := range rest {
 		cur = nil
 		claim(p)
@@ -354,20 +342,6 @@ func extractThreads(g *dfl.Graph) ([]Thread, []int32, *dfl.Index) {
 	return threads, threadOf, ix
 }
 
-// sortByID sorts slots by vertex ID. Slot order is ID order on a compacted
-// snapshot, so the sort confirms a presorted run there.
-func sortByID(ix *dfl.Index, slots []int32) {
-	slices.SortFunc(slots, func(a, b int32) int { return cmpID(ix.IDAt(a), ix.IDAt(b)) })
-}
-
-// cmpID is the canonical vertex order: tasks before data, names ascending.
-func cmpID(a, b dfl.ID) int {
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
-	}
-	return strings.Compare(a.Name, b.Name)
-}
-
 // BalanceThreads assigns threads to nodes with longest-processing-time-first
 // greedy balancing on estimated work.
 func BalanceThreads(threads []Thread, nodes int) {
@@ -416,7 +390,7 @@ func placeFileSlots(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int3
 	if len(files) == 0 {
 		return nil, nil
 	}
-	sortByID(ix, files)
+	ix.SortByID(files)
 	vols := make([]uint64, len(files))
 	for i, d := range files {
 		inE, _ := ix.In(d)
@@ -503,7 +477,7 @@ func placeFileSlots(ix *dfl.Index, cfg Config, threads []Thread, threadOf []int3
 					producers = append(producers, q)
 				}
 			}
-			sortByID(ix, producers)
+			ix.SortByID(producers)
 			var rerun float64
 			for _, q := range producers {
 				rerun += ix.VertexAt(q).Task.Lifetime
@@ -525,7 +499,7 @@ func firstByID(ix *dfl.Index, srcs, dsts []int32) int32 {
 	}
 	first := peers[0]
 	for _, q := range peers[1:] {
-		if cmpID(ix.IDAt(q), ix.IDAt(first)) < 0 {
+		if ix.IDAt(q).Compare(ix.IDAt(first)) < 0 {
 			first = q
 		}
 	}

@@ -48,9 +48,18 @@ func TestAdviseThreadsAndPlacement(t *testing.T) {
 		t.Fatal("no threads")
 	}
 	// Each chain must be co-located: producer and consumer on the same node.
+	node := make(map[dfl.ID]int)
+	for _, th := range plan.Threads {
+		for _, tk := range th.Tasks {
+			node[tk] = th.Node
+		}
+	}
 	for _, chain := range []string{"a", "b"} {
-		p := plan.TaskNode[dfl.TaskID("prod-"+chain)]
-		c := plan.TaskNode[dfl.TaskID("cons-"+chain)]
+		p, pok := node[dfl.TaskID("prod-"+chain)]
+		c, cok := node[dfl.TaskID("cons-"+chain)]
+		if !pok || !cok {
+			t.Fatalf("chain %s: a task is in no thread", chain)
+		}
 		if p != c {
 			t.Errorf("chain %s split across nodes %d/%d", chain, p, c)
 		}
@@ -217,7 +226,7 @@ func TestApplyValidation(t *testing.T) {
 		Chromosomes: 1, IndivPerChr: 2, Populations: 1,
 		ChrBytes: 1 << 20, ColumnsBytes: 1 << 20, AnnotationBytes: 1 << 20,
 	})
-	if err := Apply(spec, &Plan{TaskNode: map[dfl.ID]int{}}, nil, "local:shm"); err == nil {
+	if err := Apply(spec, &Plan{}, nil, "local:shm"); err == nil {
 		t.Fatal("empty node list accepted")
 	}
 }

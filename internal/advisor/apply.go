@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"datalife/internal/dfl"
 	"datalife/internal/sim"
 	"datalife/internal/workflows"
 )
@@ -30,8 +29,14 @@ func Apply(spec *workflows.Spec, plan *Plan, nodeNames []string, localTier strin
 	for _, fp := range plan.Placements {
 		class[fp.File.Name] = fp.Class
 	}
+	nodeOf := make(map[string]int)
+	for _, th := range plan.Threads {
+		for _, t := range th.Tasks {
+			nodeOf[t.Name] = th.Node
+		}
+	}
 	taskNode := func(name string) (string, bool) {
-		n, ok := plan.TaskNode[dfl.TaskID(name)]
+		n, ok := nodeOf[name]
 		if !ok {
 			return "", false
 		}

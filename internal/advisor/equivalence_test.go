@@ -33,9 +33,6 @@ func checkAdviseMatchesReference(t *testing.T, name string, g *dfl.Graph, cfg Co
 		if !reflect.DeepEqual(got.Placements, want.Placements) {
 			t.Fatalf("%s %+v: placements differ", name, cfg)
 		}
-		if !reflect.DeepEqual(got.TaskNode, want.TaskNode) {
-			t.Fatalf("%s %+v: task nodes differ", name, cfg)
-		}
 		if !reflect.DeepEqual(got.Opportunities, want.Opportunities) {
 			t.Fatalf("%s %+v: opportunities differ", name, cfg)
 		}

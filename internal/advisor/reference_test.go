@@ -24,12 +24,11 @@ func referenceAdvise(g *dfl.Graph, cfg Config) (*Plan, error) {
 	threads := referenceExtractThreads(g)
 	BalanceThreads(threads, cfg.Nodes)
 
-	plan := &Plan{Threads: threads, TaskNode: make(map[dfl.ID]int)}
+	plan := &Plan{Threads: threads}
 	threadOf := make(map[dfl.ID]int)
 	for _, th := range threads {
 		for _, t := range th.Tasks {
 			threadOf[t] = th.ID
-			plan.TaskNode[t] = th.Node
 		}
 	}
 	plan.Placements = referencePlaceFiles(g, cfg, threads, threadOf)

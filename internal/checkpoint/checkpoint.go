@@ -118,10 +118,16 @@ func Choose(g *dfl.Graph, cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	ix := g.Index()
+	slots, nt := ix.SlotsByID()
 	var entries []Entry
-	for _, v := range g.DataFiles() {
-		prods := g.Producers(v.ID)
-		cons := g.Consumers(v.ID)
+	for _, p := range slots[nt:] {
+		v := ix.VertexAt(p)
+		if v.ID.Kind != dfl.DataVertex {
+			continue
+		}
+		prods := ix.Producers(p)
+		cons := ix.Consumers(p)
 		if len(prods) == 0 || len(cons) == 0 {
 			continue // an input or terminal output, not an intermediate
 		}
@@ -139,14 +145,16 @@ func Choose(g *dfl.Graph, cfg Config) (*Plan, error) {
 
 		// Rerun cost: the producers that must re-execute, plus the
 		// consumers that restart or stall behind the loss, plus the
-		// producing flows' write time.
+		// producing flows' write time, summed in ID order and then in-edge
+		// order, since float addition depends on order.
 		for _, id := range prods {
 			e.RerunCost += g.Vertex(id).Task.Lifetime
 		}
 		for _, id := range cons {
 			e.RerunCost += g.Vertex(id).Task.Lifetime
 		}
-		for _, edge := range g.In(v.ID) {
+		inE, _ := ix.In(p)
+		for _, edge := range inE {
 			if edge.Kind == dfl.Producer {
 				e.RerunCost += edge.Props.Latency
 			}

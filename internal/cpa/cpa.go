@@ -18,7 +18,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"datalife/internal/dfl"
 )
@@ -89,9 +88,6 @@ func ByTaskFanIn(g *dfl.Graph, v *dfl.Vertex) float64 {
 	}
 	return 0
 }
-
-// Zero is the no-op weight for the unused half of a GCPA query.
-func Zero[T any](*dfl.Graph, T) float64 { return 0 }
 
 // ZeroEdge ignores edges.
 func ZeroEdge(*dfl.Graph, *dfl.Edge) float64 { return 0 }
@@ -246,9 +242,9 @@ func (dp *PathDP) Path(i int) Path {
 // producer tasks attached to data-vertex legs, so that every data leaf keeps
 // its producer relation.
 //
-// Membership is a dense bitset over the graph's indexed core, so the
-// detectors' per-edge Contains checks cost one position lookup plus a bool
-// index instead of hashing an ID into a set.
+// Membership is a dense bitset over the slots of the snapshot it was built
+// on: Scope and Subgraph read it directly, and Contains resolves an ID with
+// one Pos search.
 type Caterpillar struct {
 	Spine Path
 	// Legs are the distance-one vertices not on the spine, sorted.
@@ -277,49 +273,44 @@ func (c *Caterpillar) Contains(id dfl.ID) bool {
 // Size returns the number of vertices in the caterpillar.
 func (c *Caterpillar) Size() int { return c.n }
 
-// Members returns all caterpillar vertices, sorted.
-func (c *Caterpillar) Members() []dfl.ID {
-	out := make([]dfl.ID, 0, c.n)
-	for p, in := range c.member {
-		if in {
-			out = append(out, c.ix.IDAt(int32(p)))
+// Scope returns g's current snapshot, the caterpillar's member slots in it
+// (tasks, then data vertices, each in ID order) and the edges with both ends
+// in the caterpillar, sorted by (src, dst) with duplicate edges in insertion
+// order: g.Tasks(), g.DataFiles() and g.Edges() filtered by Contains, reading
+// only the members and their out-edges. A caterpillar built on an older
+// snapshot resolves its members on the current one first, since vertices are
+// never removed but slots move when a snapshot compacts.
+func (c *Caterpillar) Scope(g *dfl.Graph) (ix *dfl.Index, tasks, data []int32, edges []*dfl.Edge) {
+	ix = g.Index()
+	member := c.member
+	if c.ix != ix {
+		member = make([]bool, ix.Len())
+		for p, in := range c.member {
+			if !in {
+				continue
+			}
+			if _, q := g.Locate(c.ix.IDAt(int32(p))); q >= 0 {
+				member[q] = true
+			}
+		}
+		for id := range c.extra {
+			if _, q := g.Locate(id); q >= 0 {
+				member[q] = true
+			}
 		}
 	}
-	for id := range c.extra {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
-
-// Scope returns the caterpillar's member tasks and data vertices, each sorted
-// by ID, and the edges with both ends in the caterpillar, sorted by (src, dst)
-// with duplicate edges in insertion order: g.Tasks(), g.DataFiles() and
-// g.Edges() filtered by Contains, reading only the members and their
-// out-edges. A caterpillar built on an older snapshot than g's current one
-// gets the filtered whole-graph scan instead, since its adjacency may be out
-// of date.
-func (c *Caterpillar) Scope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*dfl.Edge) {
-	ix := g.Index()
-	if c.ix != ix {
-		return c.filterScope(g)
-	}
 	members := make([]int32, 0, c.n)
-	for p, in := range c.member {
+	for p, in := range member {
 		if in {
 			members = append(members, int32(p))
 		}
 	}
-	// Slot order is ID order on a compacted snapshot, so the sort confirms
-	// a presorted run there.
-	slices.SortFunc(members, func(a, b int32) int { return cmpID(ix.IDAt(a), ix.IDAt(b)) })
+	ix.SortByID(members)
 	rank := make([]int32, ix.Len())
-	verts := make([]*dfl.Vertex, len(members))
 	nt := 0
 	for i, p := range members {
 		rank[p] = int32(i)
-		verts[i] = ix.VertexAt(p)
-		if verts[i].ID.Kind == dfl.TaskVertex {
+		if ix.IDAt(p).Kind == dfl.TaskVertex {
 			nt = i + 1
 		}
 	}
@@ -331,7 +322,7 @@ func (c *Caterpillar) Scope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*d
 	for _, p := range members {
 		out, dsts := ix.Out(p)
 		for k, d := range dsts {
-			if c.member[d] {
+			if member[d] {
 				inner = append(inner, ranked{out[k], rank[p], rank[d]})
 			}
 		}
@@ -350,28 +341,7 @@ func (c *Caterpillar) Scope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*d
 			edges[i] = r.e
 		}
 	}
-	return verts[:nt:nt], verts[nt:], edges
-}
-
-// filterScope is Scope's whole-graph form: g's canonical lists filtered by
-// Contains.
-func (c *Caterpillar) filterScope(g *dfl.Graph) (tasks, data []*dfl.Vertex, edges []*dfl.Edge) {
-	for _, v := range g.Tasks() {
-		if c.Contains(v.ID) {
-			tasks = append(tasks, v)
-		}
-	}
-	for _, v := range g.DataFiles() {
-		if c.Contains(v.ID) {
-			data = append(data, v)
-		}
-	}
-	for _, e := range g.Edges() {
-		if c.Contains(e.Src) && c.Contains(e.Dst) {
-			edges = append(edges, e)
-		}
-	}
-	return tasks, data, edges
+	return ix, members[:nt:nt], members[nt:], edges
 }
 
 // DFLCaterpillar builds the DFL caterpillar tree around a critical path:
@@ -394,7 +364,7 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 	spinePos := make([]int32, 0, len(spine.Vertices))
 	prev := int32(-1)
 	for _, id := range spine.Vertices {
-		p := spineSlot(ix, prev, id)
+		p, _ := pathStep(ix, prev, id)
 		prev = p
 		if p < 0 {
 			// Malformed spine vertex not in the graph: track it separately so
@@ -438,7 +408,7 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 			}
 		}
 	}
-	// Sort by ID, as Members does: dense positions follow (kind, name) order
+	// Sort by ID, as Scope does: dense positions follow (kind, name) order
 	// only on compacted snapshots, not on overlay slots of fast derivations.
 	// Sorting the positions first leaves the ID sort a presorted run to
 	// confirm on a compacted snapshot.
@@ -451,21 +421,22 @@ func DFLCaterpillar(g *dfl.Graph, spine Path) *Caterpillar {
 	return c
 }
 
-// spineSlot returns the slot of spine vertex id, given the slot of the
-// vertex before it (-1 for none). On a path the critical-path DP built, id is
-// an out-neighbour of that slot, so a scan of its out-list finds it without a
-// Pos search; a hand-built path may skip, repeat or reverse vertices, and
-// then Pos resolves it.
-func spineSlot(ix *dfl.Index, prev int32, id dfl.ID) int32 {
+// pathStep returns the slot of path vertex id and the edge into it from
+// slot prev (-1 for none): the first of prev's out-edges to reach id, which
+// is the first inserted, or nil. On a path the critical-path DP built, id is
+// an out-neighbour of prev, so a scan of its out-list finds it without a Pos
+// search; a hand-built path may skip, repeat or reverse vertices, and then
+// Pos resolves it.
+func pathStep(ix *dfl.Index, prev int32, id dfl.ID) (int32, *dfl.Edge) {
 	if prev >= 0 {
-		_, dsts := ix.Out(prev)
-		for _, d := range dsts {
+		out, dsts := ix.Out(prev)
+		for k, d := range dsts {
 			if ix.IDAt(d) == id {
-				return d
+				return d, out[k]
 			}
 		}
 	}
-	return ix.Pos(id)
+	return ix.Pos(id), nil
 }
 
 func idsAt(ix *dfl.Index, pos []int32) []dfl.ID {
@@ -484,24 +455,20 @@ func idsAt(ix *dfl.Index, pos []int32) []dfl.ID {
 // rendering (Fig. 4).
 func (c *Caterpillar) Subgraph(g *dfl.Graph) *dfl.Graph {
 	sub := dfl.New()
-	for _, id := range c.Members() {
-		v := g.Vertex(id)
-		if v == nil {
-			continue
-		}
+	ix, tasks, data, edges := c.Scope(g)
+	for _, p := range slices.Concat(tasks, data) {
+		v := ix.VertexAt(p)
 		var nv *dfl.Vertex
-		if id.Kind == dfl.TaskVertex {
-			nv = sub.AddTask(id.Name)
+		if v.ID.Kind == dfl.TaskVertex {
+			nv = sub.AddTask(v.ID.Name)
 		} else {
-			nv = sub.AddData(id.Name)
+			nv = sub.AddData(v.ID.Name)
 		}
 		*nv = *v
 	}
-	for _, e := range g.Edges() {
-		if c.Contains(e.Src) && c.Contains(e.Dst) {
-			if _, err := sub.AddEdge(e.Src, e.Dst, e.Kind, e.Props); err != nil {
-				panic(err) // directions copied from a valid graph
-			}
+	for _, e := range edges {
+		if _, err := sub.AddEdge(e.Src, e.Dst, e.Kind, e.Props); err != nil {
+			panic(err) // directions copied from a valid graph
 		}
 	}
 	return sub
@@ -605,22 +572,19 @@ func (c *Caterpillar) IsCaterpillarTree(g *dfl.Graph) bool {
 	return true
 }
 
-// cmpID is the canonical vertex order: tasks before data, names ascending.
-func cmpID(a, b dfl.ID) int {
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
-	}
-	return strings.Compare(a.Name, b.Name)
-}
+func sortIDs(ids []dfl.ID) { slices.SortFunc(ids, dfl.ID.Compare) }
 
-func sortIDs(ids []dfl.ID) { slices.SortFunc(ids, cmpID) }
-
-// PathEdges returns the edges along a path, in order. Missing edges (possible
-// only on malformed paths) are skipped.
+// PathEdges returns the edges along a path, in order: for each step the first
+// inserted edge between its vertices, as dfl.Graph.FindEdge returns it.
+// Missing edges (possible only on malformed paths) are skipped.
 func PathEdges(g *dfl.Graph, p Path) []*dfl.Edge {
+	ix := g.Index()
 	var out []*dfl.Edge
-	for i := 0; i+1 < len(p.Vertices); i++ {
-		if e := g.FindEdge(p.Vertices[i], p.Vertices[i+1]); e != nil {
+	prev := int32(-1)
+	for _, id := range p.Vertices {
+		var e *dfl.Edge
+		prev, e = pathStep(ix, prev, id)
+		if e != nil {
 			out = append(out, e)
 		}
 	}

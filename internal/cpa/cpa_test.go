@@ -187,8 +187,8 @@ func TestDFLCaterpillar(t *testing.T) {
 		t.Fatalf("Size = %d, parts = %d+%d+%d", c.Size(),
 			len(c.Spine.Vertices), len(c.Legs), len(c.Extended))
 	}
-	if len(c.Members()) != c.Size() {
-		t.Fatal("Members length mismatch")
+	if _, tasks, data, _ := c.Scope(g); len(tasks)+len(data) != c.Size() {
+		t.Fatalf("Scope lists %d+%d members, Size = %d", len(tasks), len(data), c.Size())
 	}
 }
 

@@ -33,7 +33,15 @@ func referenceScope(g *dfl.Graph, c *Caterpillar) (tasks, data []*dfl.Vertex, ed
 // vertices and edges in the same order, duplicate edges included.
 func checkScope(t *testing.T, name string, g *dfl.Graph, c *Caterpillar) {
 	t.Helper()
-	tasks, data, edges := c.Scope(g)
+	ix, taskSlots, dataSlots, edges := c.Scope(g)
+	verticesAt := func(slots []int32) []*dfl.Vertex {
+		var vs []*dfl.Vertex
+		for _, p := range slots {
+			vs = append(vs, ix.VertexAt(p))
+		}
+		return vs
+	}
+	tasks, data := verticesAt(taskSlots), verticesAt(dataSlots)
 	wantT, wantD, wantE := referenceScope(g, c)
 	if !slices.Equal(tasks, wantT) || !slices.Equal(data, wantD) || !slices.Equal(edges, wantE) {
 		t.Fatalf("%s: Scope = %d tasks, %d files, %d edges; reference %d, %d, %d (or a different order)",

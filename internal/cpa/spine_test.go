@@ -131,6 +131,48 @@ func TestDFLCaterpillarMatchesPosReference(t *testing.T) {
 	}
 }
 
+// referencePathEdges is PathEdges as it read the graph before the snapshot
+// walk: one FindEdge lookup per step.
+func referencePathEdges(g *dfl.Graph, p Path) []*dfl.Edge {
+	var out []*dfl.Edge
+	for i := 0; i+1 < len(p.Vertices); i++ {
+		if e := g.FindEdge(p.Vertices[i], p.Vertices[i+1]); e != nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestPathEdgesMatchesFindEdge checks the snapshot walk of PathEdges against
+// a FindEdge per step, on the critical paths of the corpus graphs (overlay
+// snapshots and duplicate edges included) and on hand-built paths that leave
+// the out-lists.
+func TestPathEdgesMatchesFindEdge(t *testing.T) {
+	for _, c := range dfltest.Corpus(t) {
+		if !c.G.IsDAG() {
+			continue
+		}
+		for _, w := range []EdgeWeight{ByVolume, ByLatency} {
+			paths, err := NearCriticalPaths(c.G, w, nil, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				spines := []namedSpine{{"path", p}}
+				if len(p.Vertices) >= 3 {
+					spines = handSpines(p)
+				}
+				for _, s := range spines {
+					if got, want := PathEdges(c.G, s.spine), referencePathEdges(c.G, s.spine); !slices.Equal(got, want) {
+						t.Fatalf("%s, %s path: PathEdges = %d edges, FindEdge reference %d (or different ones)",
+							c.Name, s.name, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSinkOrderMatchesIDStrings checks the sink ranking against the order it
 // is defined by: heavier paths first, ties by ascending ID string. Sink IDs
 // are distinct, so that order is unique. The graphs include many tied sinks

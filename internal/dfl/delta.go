@@ -226,16 +226,6 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 		return nil
 	}
 
-	// slotOf maps a graph slot to its snapshot slot: base vertices sit at
-	// their canonical position from the epoch's compaction, overlay vertices
-	// keep their insertion slot (they are appended in insertion order).
-	slotOf := func(s int32) int32 {
-		if s < baseN {
-			return g.rank[s]
-		}
-		return s
-	}
-
 	// Topological feasibility. New vertices are numbered locally by
 	// slot-prevN.
 	anchor := prev.topo[prevN-1]
@@ -251,7 +241,7 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 			sj := p.src - prevN
 			newOut[sj] = append(newOut[sj], dj)
 			newIndeg[dj]++
-		} else if slotOf(p.src) == anchor {
+		} else if g.snapSlot(p.src, baseN) == anchor {
 			anchorSeed[dj] = true
 		}
 	}
@@ -284,7 +274,7 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 	var touchSlots []int32
 	needTouch := make(map[int32]bool)
 	for _, p := range newEnds {
-		if s := slotOf(p.src); s < baseN && !needTouch[s] {
+		if s := g.snapSlot(p.src, baseN); s < baseN && !needTouch[s] {
 			needTouch[s] = true
 			touchSlots = append(touchSlots, s)
 		}
@@ -337,7 +327,7 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 		e := g.edges[prev.mEdges+j]
 		seq := int32(len(ep.extraEdges))
 		ep.extraEdges = append(ep.extraEdges, e)
-		s, d := slotOf(p.src), p.dst
+		s, d := g.snapSlot(p.src, baseN), p.dst
 		if s < baseN {
 			ov := touched[s]
 			ov.outE = append(ov.outE, e)

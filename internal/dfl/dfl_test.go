@@ -136,6 +136,64 @@ func TestUseConcurrencyAndProducersConsumers(t *testing.T) {
 	if c := g.Consumers(d); len(c) != 3 {
 		t.Fatalf("Consumers = %v", c)
 	}
+	// A task has no producers or consumers of its own, and an absent ID
+	// none at all.
+	for _, id := range []ID{TaskID("c0"), TaskID("prod"), DataID("absent"), TaskID("absent")} {
+		if p, c := g.Producers(id), g.Consumers(id); p != nil || c != nil {
+			t.Fatalf("Producers(%v) = %#v, Consumers = %#v; want nil", id, p, c)
+		}
+	}
+}
+
+// TestEdgeLookupsDeriveNoSnapshot checks that FindEdge and SetEdgeProps read
+// the endpoint table rather than a snapshot: on a graph with a pending delta
+// they derive none, and neither do Template and AverageRuns, which call them
+// between mutations, on the graphs they build. FindEdge and SetEdgeProps
+// address the first-inserted edge of a duplicated pair.
+func TestEdgeLookupsDeriveNoSnapshot(t *testing.T) {
+	g := New()
+	w, f := TaskID("w#0"), DataID("f")
+	g.AddEdge(w, f, Producer, FlowProps{Volume: 1})
+	g.AddUncheckedEdge(w, f, Producer, FlowProps{Volume: 2})
+	g.AddEdge(TaskID("w#1"), f, Producer, FlowProps{Volume: 3})
+	g.AddEdge(f, TaskID("r"), Consumer, FlowProps{Volume: 4})
+	g.Index()
+	g.AddEdge(TaskID("r"), DataID("out"), Producer, FlowProps{Volume: 5})
+	before := g.IndexStats()
+
+	if e := g.FindEdge(w, f); e == nil || e.Props.Volume != 1 {
+		t.Fatalf("FindEdge of a duplicated pair = %+v, want the first inserted", e)
+	}
+	if g.FindEdge(f, w) != nil || g.FindEdge(w, DataID("absent")) != nil {
+		t.Fatal("FindEdge found an edge that does not exist")
+	}
+	if !g.SetEdgeProps(w, f, FlowProps{Volume: 7}) {
+		t.Fatal("SetEdgeProps missed the edge")
+	}
+	if e := g.FindEdge(w, f); e.Props.Volume != 7 {
+		t.Fatalf("SetEdgeProps edited %+v, want the first inserted edge", e)
+	}
+	if st := g.IndexStats(); st != before {
+		t.Fatalf("edge lookups derived snapshots: %+v, before %+v", st, before)
+	}
+	if out := g.Out(w); len(out) != 2 || out[0].Props.Volume != 7 || out[1].Props.Volume != 2 {
+		t.Fatalf("Out(%v) = %v, want the edited edge, then its duplicate", w, out)
+	}
+
+	tpl := Template(g, nil)
+	if st := tpl.IndexStats(); st.Derivations != 0 {
+		t.Fatalf("Template derived %+v while building", st)
+	}
+	if e := tpl.FindEdge(TaskID("w"), f); e == nil || e.Props.Volume != 12 {
+		t.Fatalf("template edge = %+v, want the three producer flows merged", e)
+	}
+	avg, err := AverageRuns([]*Graph{g, g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := avg.IndexStats(); st.Derivations != 0 {
+		t.Fatalf("AverageRuns derived %+v while building", st)
+	}
 }
 
 func TestTaskPropsRatios(t *testing.T) {

@@ -11,7 +11,6 @@ package dfl
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -46,6 +45,11 @@ func TaskID(name string) ID { return ID{TaskVertex, name} }
 func DataID(name string) ID { return ID{DataVertex, name} }
 
 func (id ID) String() string { return id.Kind.String() + ":" + id.Name }
+
+// Compare orders IDs canonically, tasks before data and names ascending: it
+// is negative when id sorts before o, zero when they are equal and positive
+// otherwise.
+func (id ID) Compare(o ID) int { return cmpID(id, o) }
 
 // TaskProps are lifecycle properties of a task vertex (§4.2).
 type TaskProps struct {
@@ -174,17 +178,20 @@ type slotPair struct{ src, dst int32 }
 // (template) may contain cycles.
 //
 // Each vertex is interned once into an insertion slot: the slot map is the
-// only ID-keyed table, and vertex pointers, adjacency and per-edge endpoint
-// slots live in slot-indexed slices, so adding an edge hashes each endpoint
-// once and compaction resolves no ID per edge.
+// only ID-keyed table, and vertex pointers and per-edge endpoint slots live in
+// slot-indexed slices, so adding an edge hashes each endpoint once and
+// compaction resolves no ID per edge. The graph keeps no adjacency lists of
+// its own: the edge list is its only record of the edges.
 //
-// Queries that need sorted snapshots or whole-graph aggregates (Vertices,
-// Edges, TopoSort, TotalVolume, BestRate, Producers/Consumers, ...) are
-// served from an indexed core (see Index) that mutations keep current: AddEdge
-// and new vertices accumulate a pending delta that the next query usually
-// derives in O(delta) from the previous immutable snapshot, and
-// SetEdgeProps, SetTaskProps and SetDataProps record their edits so that the
-// next query compacts with the content fingerprint carried forward.
+// Every query is served from an indexed core (see Index) that mutations keep
+// current: adjacency (Out, In, the degrees, Producers/Consumers), sorted
+// snapshots (Vertices, Edges), TopoSort and the aggregates. AddEdge and new
+// vertices accumulate a pending delta that the next query usually derives in
+// O(delta) from the previous immutable snapshot, and SetEdgeProps,
+// SetTaskProps and SetDataProps record their edits so that the next query
+// compacts with the content fingerprint carried forward. The ID-keyed reads
+// resolve an ID through the slot map, not by searching the snapshot; loops
+// over many vertices should take the snapshot once and read its slots.
 //
 // Concurrency contract: snapshots obtained from Index() (and every slice the
 // query methods return) stay valid and safe to read concurrently, forever —
@@ -194,14 +201,12 @@ type slotPair struct{ src, dst int32 }
 type Graph struct {
 	slots map[ID]int32 // vertex ID → insertion slot
 	verts []*Vertex    // by slot
-	out   [][]*Edge    // by slot, insertion order
-	in    [][]*Edge    // by slot, insertion order
 	edges []*Edge
 	ends  []slotPair // endpoint slots of edges[i]
 
 	// edgeAt maps endpoint slots to the first matching g.edges index
-	// (FindEdge semantics). Built lazily on the first SetEdgeProps, then
-	// maintained.
+	// (FindEdge semantics). Built lazily on the first FindEdge or
+	// SetEdgeProps, then maintained.
 	edgeAt map[slotPair]int32
 
 	// order lists the slots in canonical (kind, name) order as of the last
@@ -246,8 +251,6 @@ func (g *Graph) ensure(id ID) int32 {
 	s := int32(len(g.verts))
 	g.slots[id] = s
 	g.verts = append(g.verts, v)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.dirty.Store(true)
 	return s
 }
@@ -286,9 +289,9 @@ func (g *Graph) AddEdge(src, dst ID, kind EdgeKind, props FlowProps) (*Edge, err
 	return g.appendEdge(src, dst, kind, props), nil
 }
 
-// appendEdge interns the endpoints, links a new edge into the adjacency
-// structures and leaves it for the next derivation to pick up (shared by
-// AddEdge and AddUncheckedEdge).
+// appendEdge interns the endpoints, appends a new edge to the edge list and
+// leaves it for the next derivation to pick up (shared by AddEdge and
+// AddUncheckedEdge).
 func (g *Graph) appendEdge(src, dst ID, kind EdgeKind, props FlowProps) *Edge {
 	s, d := g.ensure(src), g.ensure(dst)
 	e := &Edge{Src: src, Dst: dst, Kind: kind, Props: props}
@@ -298,8 +301,6 @@ func (g *Graph) appendEdge(src, dst ID, kind EdgeKind, props FlowProps) *Edge {
 	i := int32(len(g.edges))
 	g.edges = append(g.edges, e)
 	g.ends = append(g.ends, slotPair{s, d})
-	g.out[s] = append(g.out[s], e)
-	g.in[d] = append(g.in[d], e)
 	if g.edgeAt != nil {
 		k := slotPair{s, d}
 		if _, ok := g.edgeAt[k]; !ok {
@@ -325,11 +326,7 @@ func (g *Graph) derived() (verts, edges int) {
 // replacement is copy-on-write: previously obtained snapshots keep reading
 // the old edge value. Returns false when no such edge exists.
 func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
-	s, d := g.slot(src), g.slot(dst)
-	if s < 0 || d < 0 {
-		return false
-	}
-	i := g.edgeIndex(s, d)
+	i := g.findEdge(src, dst)
 	if i < 0 {
 		return false
 	}
@@ -337,10 +334,7 @@ func (g *Graph) SetEdgeProps(src, dst ID, props FlowProps) bool {
 	if props.Samples == 0 {
 		props.Samples = 1
 	}
-	ne := &Edge{Src: old.Src, Dst: old.Dst, Kind: old.Kind, Props: props}
-	g.edges[i] = ne
-	swapEdge(g.out[s], old, ne)
-	swapEdge(g.in[d], old, ne)
+	g.edges[i] = &Edge{Src: old.Src, Dst: old.Dst, Kind: old.Kind, Props: props}
 	// An edge added since the last derivation surfaces its final pointer
 	// everywhere and stays an append; only edges the previous snapshot saw
 	// need an edit record.
@@ -402,17 +396,13 @@ func (g *Graph) replaceVertex(s int32, nv *Vertex) bool {
 	return true
 }
 
-func swapEdge(es []*Edge, o, c *Edge) {
-	for i, e := range es {
-		if e == o {
-			es[i] = c
-		}
+// findEdge returns the g.edges index of the first-inserted edge src→dst, or
+// -1, building the lookup table on first use.
+func (g *Graph) findEdge(src, dst ID) int32 {
+	s, d := g.slot(src), g.slot(dst)
+	if s < 0 || d < 0 {
+		return -1
 	}
-}
-
-// edgeIndex returns the first g.edges index of the edge between slots s and
-// d, or -1, building the lookup table on first use.
-func (g *Graph) edgeIndex(s, d int32) int32 {
 	if g.edgeAt == nil {
 		g.edgeAt = make(map[slotPair]int32, len(g.ends))
 		for i, k := range g.ends {
@@ -427,30 +417,57 @@ func (g *Graph) edgeIndex(s, d int32) int32 {
 	return -1
 }
 
-// FindEdge returns the edge src→dst, or nil. Mutating properties through the
-// returned pointer bypasses the index delta — prefer SetEdgeProps; if you do
-// mutate in place after queries have run, call Invalidate.
+// FindEdge returns the edge src→dst, or nil; of several, the first inserted.
+// It reads the endpoint lookup table SetEdgeProps keeps, not a snapshot, so
+// it derives none. Its first call builds that table, so like a mutation it
+// must not run concurrently with other calls on the graph. Mutating
+// properties through the returned pointer bypasses the index delta — prefer
+// SetEdgeProps; if you do mutate in place after queries have run, call
+// Invalidate.
 func (g *Graph) FindEdge(src, dst ID) *Edge {
-	for _, e := range g.Out(src) {
-		if e.Dst == dst {
-			return e
-		}
+	if i := g.findEdge(src, dst); i >= 0 {
+		return g.edges[i]
 	}
 	return nil
 }
 
-// Out returns the outgoing edges of id.
+// Locate returns the current snapshot and the slot of id in it, or -1 when
+// the graph has no such vertex. It resolves id through the graph's slot map
+// rather than searching the snapshot (Index.Pos).
+func (g *Graph) Locate(id ID) (*Index, int32) {
+	ix := g.Index()
+	s := g.slot(id)
+	if s < 0 {
+		return ix, -1
+	}
+	return ix, g.snapSlot(s, ix.baseN)
+}
+
+// snapSlot maps graph slot s to its slot in a snapshot of the current epoch,
+// whose base holds baseN vertices: a base vertex sits at its canonical
+// position from the epoch's compaction, an overlay vertex keeps its insertion
+// slot, since overlay slots are assigned in insertion order.
+func (g *Graph) snapSlot(s, baseN int32) int32 {
+	if s < baseN {
+		return g.rank[s]
+	}
+	return s
+}
+
+// Out returns the outgoing edges of id, in insertion order.
 func (g *Graph) Out(id ID) []*Edge {
-	if s := g.slot(id); s >= 0 {
-		return g.out[s]
+	if ix, p := g.Locate(id); p >= 0 {
+		es, _ := ix.Out(p)
+		return es
 	}
 	return nil
 }
 
-// In returns the incoming edges of id.
+// In returns the incoming edges of id, in insertion order.
 func (g *Graph) In(id ID) []*Edge {
-	if s := g.slot(id); s >= 0 {
-		return g.in[s]
+	if ix, p := g.Locate(id); p >= 0 {
+		es, _ := ix.In(p)
+		return es
 	}
 	return nil
 }
@@ -492,13 +509,6 @@ func (g *Graph) DataFiles() []*Vertex {
 // modify).
 func (g *Graph) Edges() []*Edge { return g.Index().canonEdges() }
 
-func less(a, b ID) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Name < b.Name
-}
-
 // TopoSort returns the vertices in a topological order, or an error if the
 // graph has a cycle (e.g. a DFL-T with merged loop instances). The order is
 // the deterministic Kahn order (sorted zero-indegree seeds, sorted freed
@@ -525,41 +535,21 @@ func (g *Graph) UseConcurrency(data ID) int {
 }
 
 // Producers returns the distinct producer tasks of a data vertex, sorted
-// (shared snapshot — do not modify).
+// (shared snapshot — do not modify); nil for a task or an absent ID.
 func (g *Graph) Producers(data ID) []ID {
-	ix := g.Index()
-	if p := ix.Pos(data); p >= 0 && data.Kind == DataVertex {
-		return ix.producersFor(p)
+	if ix, p := g.Locate(data); p >= 0 && data.Kind == DataVertex {
+		return ix.Producers(p)
 	}
-	return g.neighborTasks(g.In(data))
+	return nil
 }
 
 // Consumers returns the distinct consumer tasks of a data vertex, sorted
-// (shared snapshot — do not modify).
+// (shared snapshot — do not modify); nil for a task or an absent ID.
 func (g *Graph) Consumers(data ID) []ID {
-	ix := g.Index()
-	if p := ix.Pos(data); p >= 0 && data.Kind == DataVertex {
-		return ix.consumersFor(p)
+	if ix, p := g.Locate(data); p >= 0 && data.Kind == DataVertex {
+		return ix.Consumers(p)
 	}
-	return g.neighborTasks(g.Out(data))
-}
-
-func (g *Graph) neighborTasks(edges []*Edge) []ID {
-	seen := make(map[ID]struct{})
-	for _, e := range edges {
-		if e.Src.Kind == TaskVertex {
-			seen[e.Src] = struct{}{}
-		}
-		if e.Dst.Kind == TaskVertex {
-			seen[e.Dst] = struct{}{}
-		}
-	}
-	out := make([]ID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
+	return nil
 }
 
 // TotalVolume sums edge volumes over the whole graph (cached per-graph

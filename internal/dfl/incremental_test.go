@@ -3,6 +3,7 @@ package dfl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,15 +68,8 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 		}
 	}
 
-	// Adjacency: same edge multiset per vertex, with slot companions that
-	// round-trip to the edge endpoints on both sides.
-	edgeCounts := func(es []*Edge) map[*Edge]int {
-		m := make(map[*Edge]int, len(es))
-		for _, e := range es {
-			m[e]++
-		}
-		return m
-	}
+	// Adjacency: the same edges per vertex in the same (insertion) order,
+	// with slot companions that round-trip to the edge endpoints.
 	for r := int32(0); r < int32(ref.Len()); r++ {
 		id := ref.IDAt(r)
 		p := ix.Pos(id)
@@ -84,11 +78,8 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 		if len(gotE) != len(gotP) || ix.OutDegree(p) != ref.OutDegree(r) {
 			t.Fatalf("OutDegree(%v): incremental %d, rebuild %d", id, ix.OutDegree(p), ref.OutDegree(r))
 		}
-		got, want := edgeCounts(gotE), edgeCounts(wantE)
-		for e, c := range want {
-			if got[e] != c {
-				t.Fatalf("Out(%v) edge multiset differs at %v→%v", id, e.Src, e.Dst)
-			}
+		if !slices.Equal(gotE, wantE) {
+			t.Fatalf("Out(%v) differs from the rebuild's insertion-order list", id)
 		}
 		for k := range gotE {
 			if ix.IDAt(gotP[k]) != gotE[k].Dst {
@@ -97,14 +88,11 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 		}
 		gotE, gotP = ix.In(p)
 		wantE, _ = ref.In(r)
-		if ix.InDegree(p) != ref.InDegree(r) {
+		if len(gotE) != len(gotP) || ix.InDegree(p) != ref.InDegree(r) {
 			t.Fatalf("InDegree(%v): incremental %d, rebuild %d", id, ix.InDegree(p), ref.InDegree(r))
 		}
-		got, want = edgeCounts(gotE), edgeCounts(wantE)
-		for e, c := range want {
-			if got[e] != c {
-				t.Fatalf("In(%v) edge multiset differs at %v→%v", id, e.Src, e.Dst)
-			}
+		if !slices.Equal(gotE, wantE) {
+			t.Fatalf("In(%v) differs from the rebuild's insertion-order list", id)
 		}
 		for k := range gotE {
 			if ix.IDAt(gotP[k]) != gotE[k].Src {
@@ -142,10 +130,10 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 		if id.Kind != DataVertex {
 			continue
 		}
-		if got, want := g.Producers(id), ref.producersFor(r); !idsEqual(got, want) {
+		if got, want := g.Producers(id), ref.Producers(r); !idsEqual(got, want) {
 			t.Fatalf("Producers(%v): incremental %v, rebuild %v", id, got, want)
 		}
-		if got, want := g.Consumers(id), ref.consumersFor(r); !idsEqual(got, want) {
+		if got, want := g.Consumers(id), ref.Consumers(r); !idsEqual(got, want) {
 			t.Fatalf("Consumers(%v): incremental %v, rebuild %v", id, got, want)
 		}
 	}
@@ -613,5 +601,100 @@ func TestStaleSnapshotsUnderConcurrentMutation(t *testing.T) {
 	assertSnapshotEquivalent(t, g)
 	if st := g.IndexStats(); st.Fast == 0 {
 		t.Fatalf("concurrent trace never exercised the fast path: %+v", st)
+	}
+}
+
+// TestConcurrentGraphReads has several goroutines read a graph with a pending
+// delta through its ID-keyed methods at once, after compacting batches and
+// after O(delta) appends at the topological tail: one reader derives the
+// snapshot while the others wait for it, and every read must equal the
+// insertion-order lists built from the edge list. Run it under the race
+// detector.
+func TestConcurrentGraphReads(t *testing.T) {
+	g := New()
+	rng := rand.New(rand.NewSource(5))
+	task := func(i int) ID { return TaskID(fmt.Sprintf("t%03d", i)) }
+	file := func(i int) ID { return DataID(fmt.Sprintf("d%03d", i)) }
+	check := func(round int) {
+		t.Helper()
+		outs, ins := make(map[ID][]*Edge), make(map[ID][]*Edge)
+		for _, e := range g.edges {
+			outs[e.Src] = append(outs[e.Src], e)
+			ins[e.Dst] = append(ins[e.Dst], e)
+		}
+		ids := make([]ID, 0, len(g.verts))
+		for _, v := range g.verts {
+			ids = append(ids, v.ID)
+		}
+		peers := func(es []*Edge, end func(*Edge) ID) []ID {
+			var out []ID
+			for _, e := range es {
+				out = append(out, end(e))
+			}
+			slices.SortFunc(out, cmpID)
+			return slices.Compact(out)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, id := range ids {
+					if !slices.Equal(g.Out(id), outs[id]) || !slices.Equal(g.In(id), ins[id]) ||
+						g.OutDegree(id) != len(outs[id]) || g.InDegree(id) != len(ins[id]) {
+						errs <- fmt.Errorf("round %d: adjacency of %v differs from the edge list", round, id)
+						return
+					}
+					if id.Kind != DataVertex {
+						continue
+					}
+					prod := peers(ins[id], func(e *Edge) ID { return e.Src })
+					cons := peers(outs[id], func(e *Edge) ID { return e.Dst })
+					if !slices.Equal(g.Producers(id), prod) || !slices.Equal(g.Consumers(id), cons) {
+						errs <- fmt.Errorf("round %d: producers or consumers of %v differ", round, id)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	tail := 0
+	for round := 0; round < 8; round++ {
+		// Task i writes file i and reads files below i, so the graph stays
+		// acyclic; random indices land all over the canonical order.
+		for k := 0; k < 30; k++ {
+			i := 1 + rng.Intn(150)
+			if g.Vertex(task(i)) == nil {
+				_, _ = g.AddEdge(task(i), file(i), Producer, FlowProps{Volume: uint64(k + 1)})
+			}
+			_, _ = g.AddEdge(file(rng.Intn(i)), task(i), Consumer, FlowProps{Volume: uint64(k + 2)})
+		}
+		check(round)
+		order, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := order[len(order)-1]
+		for k := 0; k < 3; k++ {
+			tail++
+			next := TaskID(fmt.Sprintf("z%03d", tail))
+			if last.Kind == TaskVertex {
+				next = DataID(fmt.Sprintf("z%03d", tail))
+				_, _ = g.AddEdge(last, next, Producer, FlowProps{Volume: 1})
+			} else {
+				_, _ = g.AddEdge(last, next, Consumer, FlowProps{Volume: 1})
+			}
+			last = next
+		}
+		check(round)
+	}
+	if st := g.IndexStats(); st.Fast == 0 || st.Compactions < 8 {
+		t.Fatalf("reads did not derive both kinds of snapshot: %+v", st)
 	}
 }

@@ -119,9 +119,17 @@ type Index struct {
 // pending mutation delta when the graph changed. The returned snapshot is
 // safe for concurrent readers and stays valid (and readable) after further
 // mutations.
+//
+// The fast path loads dirty before idx: a reader that sees dirty cleared by
+// a derivation then loads the snapshot that derivation stored, never the
+// one before it. Loading idx first, a reader racing the derivation could
+// pair the previous snapshot with the rank table the derivation rewrote,
+// and Locate would map an ID to the wrong slot.
 func (g *Graph) Index() *Index {
-	if ix := g.idx.Load(); ix != nil && !g.dirty.Load() {
-		return ix
+	if !g.dirty.Load() {
+		if ix := g.idx.Load(); ix != nil {
+			return ix
+		}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -421,6 +429,26 @@ func (ix *Index) VertexAt(i int32) *Vertex {
 	return ix.extraVerts[i-ix.baseN]
 }
 
+// SortByID sorts slots by vertex ID. Slot order is ID order on a compacted
+// snapshot, so there the sort confirms a presorted run.
+func (ix *Index) SortByID(slots []int32) {
+	slices.SortFunc(slots, func(a, b int32) int { return cmpID(ix.IDAt(a), ix.IDAt(b)) })
+}
+
+// SlotsByID returns every slot in ID order, the slots of Graph.Tasks then
+// those of Graph.DataFiles, and the number of tasks. On a compacted snapshot
+// that is slot order.
+func (ix *Index) SlotsByID() ([]int32, int) {
+	slots := make([]int32, ix.n)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	if !ix.canonical {
+		ix.SortByID(slots)
+	}
+	return slots, ix.nTasksAll
+}
+
 // Topo returns the deterministic topological order as dense slots, or the
 // cycle error. The slice is shared — do not modify.
 func (ix *Index) Topo() ([]int32, error) { return ix.topo, ix.topoErr }
@@ -432,37 +460,39 @@ func (ix *Index) overlayFor(i int32) *slotOverlay {
 	return ix.touched[i]
 }
 
-// Out returns the outgoing edges of dense slot i together with their
-// destination slots. Both slices are shared — do not modify.
+// Out returns the outgoing edges of dense slot i, in insertion order,
+// together with their destination slots. Both slices are shared — do not
+// modify; their capacity ends at their length, so an append copies.
 func (ix *Index) Out(i int32) ([]*Edge, []int32) {
 	if ov := ix.overlayFor(i); ov != nil {
-		return ov.outE, ov.outD
+		return ov.outE[:len(ov.outE):len(ov.outE)], ov.outD[:len(ov.outD):len(ov.outD)]
 	}
 	if i < ix.baseN {
 		lo, hi := ix.outOff[i], ix.outOff[i+1]
-		return ix.outEdges[lo:hi], ix.outDst[lo:hi]
+		return ix.outEdges[lo:hi:hi], ix.outDst[lo:hi:hi]
 	}
 	h := ix.extraAdj[i-ix.baseN].out.Load()
 	if h == nil {
 		return nil, nil
 	}
 	k := h.visible(ix.seqMark)
-	return h.edges[:k], h.peers[:k]
+	return h.edges[:k:k], h.peers[:k:k]
 }
 
-// In returns the incoming edges of dense slot i together with their source
-// slots. Both slices are shared — do not modify.
+// In returns the incoming edges of dense slot i, in insertion order,
+// together with their source slots. Both slices are shared — do not modify;
+// their capacity ends at their length, so an append copies.
 func (ix *Index) In(i int32) ([]*Edge, []int32) {
 	if i < ix.baseN {
 		lo, hi := ix.inOff[i], ix.inOff[i+1]
-		return ix.inEdges[lo:hi], ix.inSrc[lo:hi]
+		return ix.inEdges[lo:hi:hi], ix.inSrc[lo:hi:hi]
 	}
 	h := ix.extraAdj[i-ix.baseN].in.Load()
 	if h == nil {
 		return nil, nil
 	}
 	k := h.visible(ix.seqMark)
-	return h.edges[:k], h.peers[:k]
+	return h.edges[:k:k], h.peers[:k:k]
 }
 
 // OutDegree returns the out-degree of dense slot i.
@@ -560,8 +590,9 @@ func (ix *Index) neighborSet(k int32) []ID {
 	return nil
 }
 
-// producersFor returns the distinct producer task IDs of data slot p.
-func (ix *Index) producersFor(p int32) []ID {
+// Producers returns the distinct producer task IDs of data slot p, sorted
+// (shared — do not modify). p must not be a task slot.
+func (ix *Index) Producers(p int32) []ID {
 	if p < ix.baseN {
 		return ix.neighborSet(2 * (p - int32(ix.nTasks)))
 	}
@@ -569,8 +600,9 @@ func (ix *Index) producersFor(p int32) []ID {
 	return ix.distinctTasks(src)
 }
 
-// consumersFor returns the distinct consumer task IDs of data slot p.
-func (ix *Index) consumersFor(p int32) []ID {
+// Consumers returns the distinct consumer task IDs of data slot p, sorted
+// (shared — do not modify). p must not be a task slot.
+func (ix *Index) Consumers(p int32) []ID {
 	if p < ix.baseN && ix.overlayFor(p) == nil {
 		return ix.neighborSet(2*(p-int32(ix.nTasks)) + 1)
 	}

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+func less(a, b ID) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Name < b.Name
+}
+
 // shadowGraph is a naive reference implementation mirroring the seed's
 // map-based query semantics: insertion-order adjacency, sort-on-demand
 // snapshots, Kahn topological order with sorted seeds and sorted freed

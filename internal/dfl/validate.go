@@ -217,19 +217,20 @@ func (g *Graph) Validate() []Violation {
 // cycleSubject names the vertices left unordered by Kahn's algorithm — a
 // superset of the cycle members, small enough to point at the problem.
 func (g *Graph) cycleSubject() string {
-	indeg := make([]int, len(g.verts))
+	ix := g.Index()
+	indeg := make([]int, ix.Len())
 	var queue []int32
-	for s := range indeg {
-		indeg[s] = len(g.in[s])
-		if indeg[s] == 0 {
-			queue = append(queue, int32(s))
+	for p := range indeg {
+		indeg[p] = ix.InDegree(int32(p))
+		if indeg[p] == 0 {
+			queue = append(queue, int32(p))
 		}
 	}
 	for len(queue) > 0 {
-		s := queue[0]
+		p := queue[0]
 		queue = queue[1:]
-		for _, e := range g.out[s] {
-			d := g.slots[e.Dst]
+		_, dsts := ix.Out(p)
+		for _, d := range dsts {
 			indeg[d]--
 			if indeg[d] == 0 {
 				queue = append(queue, d)
@@ -237,9 +238,9 @@ func (g *Graph) cycleSubject() string {
 		}
 	}
 	var stuck []string
-	for s, d := range indeg {
+	for p, d := range indeg {
 		if d > 0 {
-			stuck = append(stuck, g.verts[s].ID.String())
+			stuck = append(stuck, ix.IDAt(int32(p)).String())
 		}
 	}
 	sort.Strings(stuck)

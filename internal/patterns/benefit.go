@@ -2,6 +2,7 @@ package patterns
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"datalife/internal/dfl"
@@ -74,11 +75,16 @@ func EstimateBenefits(g *dfl.Graph, opps []Opportunity, env ResourceEnvelope) []
 			if data == nil {
 				continue
 			}
+			ix, p := g.Locate(*data)
+			if p < 0 {
+				continue
+			}
+			outE, _ := ix.Out(p)
 			var vol float64
-			for _, e := range g.Out(*data) {
+			for _, e := range outE {
 				vol += float64(e.Props.Volume)
 			}
-			consumers := g.UseConcurrency(*data)
+			consumers := len(ix.Consumers(p))
 			if consumers < 2 || env.CacheBW <= 0 {
 				continue
 			}
@@ -112,15 +118,24 @@ func EstimateBenefits(g *dfl.Graph, opps []Opportunity, env ResourceEnvelope) []
 }
 
 // edgeFor recovers the flow edge an opportunity refers to from its vertex
-// pair, if it has one.
+// pair, if it has one: the first inserted edge from the first vertex to the
+// second, else from the second to the first, as dfl.Graph.FindEdge finds it.
 func edgeFor(g *dfl.Graph, o Opportunity) *dfl.Edge {
 	if len(o.Vertices) < 2 {
 		return nil
 	}
-	if e := g.FindEdge(o.Vertices[0], o.Vertices[1]); e != nil {
-		return e
+	ix, a := g.Locate(o.Vertices[0])
+	_, b := g.Locate(o.Vertices[1])
+	if a < 0 || b < 0 {
+		return nil
 	}
-	return g.FindEdge(o.Vertices[1], o.Vertices[0])
+	for _, st := range [2][2]int32{{a, b}, {b, a}} {
+		out, dsts := ix.Out(st[0])
+		if k := slices.Index(dsts, st[1]); k >= 0 {
+			return out[k]
+		}
+	}
+	return nil
 }
 
 // dataVertexOf returns the opportunity's data vertex, if any.

@@ -51,7 +51,11 @@ func (c RelationClass) String() string {
 
 // Classify returns the relation class of any vertex from its degrees.
 func Classify(g *dfl.Graph, id dfl.ID) RelationClass {
-	in, out := g.InDegree(id), g.OutDegree(id)
+	return classify(g.InDegree(id), g.OutDegree(id))
+}
+
+// classify maps in- and out-degree to a relation class.
+func classify(in, out int) RelationClass {
 	switch {
 	case in == 0 && out <= 1:
 		return Source
@@ -133,29 +137,30 @@ func Project(g *dfl.Graph, kind EntityKind, metric EdgeMetric) []Entity {
 	}
 	var out []Entity
 	switch kind {
-	case DataEntity:
-		for _, v := range g.DataFiles() {
-			var val float64
-			for _, e := range g.In(v.ID) {
-				val += metric(e)
-			}
-			for _, e := range g.Out(v.ID) {
-				val += metric(e)
-			}
-			out = append(out, Entity{Kind: kind, Data: v.ID, Value: val,
-				Detail: Classify(g, v.ID).String()})
+	case DataEntity, TaskEntity:
+		ix := g.Index()
+		all, nt := ix.SlotsByID()
+		slots := all[nt:]
+		if kind == TaskEntity {
+			slots = all[:nt]
 		}
-	case TaskEntity:
-		for _, v := range g.Tasks() {
+		for _, p := range slots {
+			inE, _ := ix.In(p)
+			outE, _ := ix.Out(p)
 			var val float64
-			for _, e := range g.In(v.ID) {
+			for _, e := range inE {
 				val += metric(e)
 			}
-			for _, e := range g.Out(v.ID) {
+			for _, e := range outE {
 				val += metric(e)
 			}
-			out = append(out, Entity{Kind: kind, Producer: v.ID, Value: val,
-				Detail: Classify(g, v.ID).String()})
+			ent := Entity{Kind: kind, Value: val, Detail: classify(len(inE), len(outE)).String()}
+			if kind == DataEntity {
+				ent.Data = ix.IDAt(p)
+			} else {
+				ent.Producer = ix.IDAt(p)
+			}
+			out = append(out, ent)
 		}
 	case ProducerRelation:
 		for _, e := range g.Edges() {
@@ -172,16 +177,20 @@ func Project(g *dfl.Graph, kind EntityKind, metric EdgeMetric) []Entity {
 			}
 		}
 	case ProducerConsumerRelation:
-		for _, v := range g.DataFiles() {
-			for _, pe := range g.In(v.ID) {
-				for _, ce := range g.Out(v.ID) {
+		ix := g.Index()
+		slots, nt := ix.SlotsByID()
+		for _, p := range slots[nt:] {
+			inE, _ := ix.In(p)
+			outE, _ := ix.Out(p)
+			for _, pe := range inE {
+				for _, ce := range outE {
 					pv, cv := metric(pe), metric(ce)
 					val := pv
 					if cv < val {
 						val = cv
 					}
 					out = append(out, Entity{Kind: kind,
-						Producer: pe.Src, Data: v.ID, Consumer: ce.Dst,
+						Producer: pe.Src, Data: ix.IDAt(p), Consumer: ce.Dst,
 						Value:  val,
 						Detail: projectDetail(pv, cv)})
 				}
@@ -200,26 +209,32 @@ func Rank(entities []Entity) []Entity {
 // rankBy sorts items in place by descending value, ties by ascending key,
 // with sort.SliceStable. Each value and key is computed once, not once per
 // comparison: nearly every key is compared, since few values are distinct, so
-// the keys are appended into one byte arena rather than rendered as a string
-// each. Byte-wise comparison of the arena slices is the string order. The
-// sort permutes indices under the comparator the items themselves would get,
-// so the order is the one sorting the items gives.
+// the keys are appended into fixed-size byte blocks rather than rendered as a
+// string each. A full block is left as it is and a new one started, so no key
+// is copied to grow a buffer. Byte-wise comparison of the key slices is the
+// string order. The sort permutes indices under the comparator the items
+// themselves would get, so the order is the one sorting the items gives.
 func rankBy[T any](items []T, value func(*T) float64, appendKey func(*T, []byte) []byte) {
+	const blockSize, minFree = 16 << 10, 256
 	vals := make([]float64, len(items))
-	off := make([]int, len(items)+1) // item i's key is arena[off[i]:off[i+1]]
+	keys := make([][]byte, len(items))
 	idx := make([]int, len(items))
-	var arena []byte
+	var block []byte
 	for i := range items {
 		vals[i], idx[i] = value(&items[i]), i
-		arena = appendKey(&items[i], arena)
-		off[i+1] = len(arena)
+		if cap(block)-len(block) < minFree {
+			block = make([]byte, 0, blockSize)
+		}
+		start := len(block)
+		block = appendKey(&items[i], block)
+		keys[i] = block[start:]
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		i, j := idx[a], idx[b]
 		if vals[i] != vals[j] {
 			return vals[i] > vals[j]
 		}
-		return bytes.Compare(arena[off[i]:off[i+1]], arena[off[j]:off[j+1]]) < 0
+		return bytes.Compare(keys[i], keys[j]) < 0
 	})
 	ranked := make([]T, len(items))
 	for k, i := range idx {

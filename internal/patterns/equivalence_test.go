@@ -85,3 +85,46 @@ func TestAnalyzeStaleCaterpillarMatchesReference(t *testing.T) {
 		checkAnalyzeMatchesReference(t, fmt.Sprintf("layered-%d perturbed", cut), l.G, spinesOf(t, l.G))
 	}
 }
+
+// TestProjectMatchesReference compares Project with the ID-keyed reference
+// for every entity kind, under two metrics, on the corpus graphs.
+func TestProjectMatchesReference(t *testing.T) {
+	for _, c := range dfltest.Corpus(t) {
+		for kind := DataEntity; kind <= ProducerConsumerRelation; kind++ {
+			for _, m := range []EdgeMetric{VolumeMetric, LatencyMetric} {
+				if got, want := Project(c.G, kind, m), referenceProject(c.G, kind, m); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Project(%v) differs from the reference", c.Name, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateBenefitsMatchesReference compares EstimateBenefits with the
+// ID-keyed reference on the opportunities of the corpus graphs, with and
+// without the primary caterpillar, under the default and a local-storage
+// envelope.
+func TestEstimateBenefitsMatchesReference(t *testing.T) {
+	envs := []ResourceEnvelope{DefaultEnvelope(), {SharedBW: 1e9, LocalBW: 4e9, CacheBW: 2e9}}
+	kinds := make(map[Kind]bool)
+	for _, c := range dfltest.Corpus(t) {
+		opps := Analyze(c.G, nil, Config{ParallelismInDegree: 2})
+		for _, p := range spinesOf(t, c.G) {
+			opps = append(opps, Analyze(c.G, cpa.DFLCaterpillar(c.G, p), Config{})...)
+		}
+		for _, env := range envs {
+			if got, want := EstimateBenefits(c.G, opps, env), referenceEstimateBenefits(c.G, opps, env); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v: EstimateBenefits differs from the reference", c.Name, env)
+			} else {
+				for _, b := range got {
+					kinds[b.Kind] = true
+				}
+			}
+		}
+	}
+	for _, k := range []Kind{DataVolume, IntraTaskLocality, InterTaskLocality, CriticalFlow, DataNonUse} {
+		if !kinds[k] {
+			t.Errorf("no %v benefit was compared", k)
+		}
+	}
+}

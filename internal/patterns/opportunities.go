@@ -127,26 +127,28 @@ func (c Config) withDefaults() Config {
 // its member vertices and the edges between them (Caterpillar.Scope);
 // otherwise the whole graph is scanned. Results are ranked by severity.
 func Analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config) []Opportunity {
-	tasks, data, edges := g.Tasks(), g.DataFiles(), g.Edges()
+	var (
+		ix          *dfl.Index
+		tasks, data []int32
+		edges       []*dfl.Edge
+	)
 	if cat != nil {
-		tasks, data, edges = cat.Scope(g)
+		ix, tasks, data, edges = cat.Scope(g)
+	} else {
+		ix = g.Index()
+		slots, nt := ix.SlotsByID()
+		tasks, data, edges = slots[:nt:nt], slots[nt:], g.Edges()
 	}
-	return analyze(g, cat, cfg, tasks, data, edges)
-}
-
-// analyze runs the detectors over the given vertex and edge lists, which are
-// in canonical order, and ranks the concatenated findings.
-func analyze(g *dfl.Graph, cat *cpa.Caterpillar, cfg Config, tasks, data []*dfl.Vertex, edges []*dfl.Edge) []Opportunity {
 	cfg = cfg.withDefaults()
 	var out []Opportunity
 	out = append(out, detectDataVolume(g, edges)...)
-	out = append(out, detectMismatchedRate(g, data)...)
-	out = append(out, detectDataNonUse(g, data)...)
+	out = append(out, detectMismatchedRate(ix, data)...)
+	out = append(out, detectDataNonUse(ix, data)...)
 	out = append(out, detectIntraTaskLocality(edges)...)
-	out = append(out, detectInterTaskLocality(g, data)...)
+	out = append(out, detectInterTaskLocality(ix, data)...)
 	out = append(out, detectCriticalFlow(g, cat)...)
-	out = append(out, detectParallelismTradeoff(g, tasks, cfg)...)
-	out = append(out, detectTaskCompositions(g, tasks)...)
+	out = append(out, detectParallelismTradeoff(ix, tasks, cfg)...)
+	out = append(out, detectTaskCompositions(ix, tasks)...)
 	rankBy(out, func(o *Opportunity) float64 { return o.Severity }, (*Opportunity).appendText)
 	return out
 }
@@ -177,14 +179,16 @@ func detectDataVolume(g *dfl.Graph, edges []*dfl.Edge) []Opportunity {
 
 // detectMismatchedRate compares producer vs consumer data rates per data
 // vertex (Table 1 row 2).
-func detectMismatchedRate(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
+func detectMismatchedRate(ix *dfl.Index, data []int32) []Opportunity {
 	var out []Opportunity
-	for _, v := range data {
+	for _, p := range data {
+		inE, _ := ix.In(p)
+		outE, _ := ix.Out(p)
 		var inRate, outRate float64
-		for _, e := range g.In(v.ID) {
+		for _, e := range inE {
 			inRate += e.Props.Rate()
 		}
-		for _, e := range g.Out(v.ID) {
+		for _, e := range outE {
 			outRate += e.Props.Rate()
 		}
 		if inRate == 0 || outRate == 0 {
@@ -196,12 +200,12 @@ func detectMismatchedRate(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 		}
 		if ratio >= rateMismatchFactor {
 			vol := float64(0)
-			for _, e := range g.Out(v.ID) {
+			for _, e := range outE {
 				vol += float64(e.Props.Volume)
 			}
 			out = append(out, newOpp(MismatchedRate, vol*math.Log2(ratio),
 				rateDetail(inRate, outRate, ratio),
-				false, v.ID))
+				false, ix.IDAt(p)))
 		}
 	}
 	return out
@@ -210,16 +214,18 @@ func detectMismatchedRate(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 // detectDataNonUse finds (a) data leaf vertices with producers but no
 // consumers and (b) consumer flows whose footprint is well below the file
 // size (Table 1 row 3).
-func detectDataNonUse(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
+func detectDataNonUse(ix *dfl.Index, data []int32) []Opportunity {
 	var out []Opportunity
-	for _, v := range data {
-		if g.InDegree(v.ID) > 0 && g.OutDegree(v.ID) == 0 {
+	for _, p := range data {
+		v := ix.VertexAt(p)
+		outE, _ := ix.Out(p)
+		if ix.InDegree(p) > 0 && len(outE) == 0 {
 			out = append(out, newOpp(DataNonUse, float64(v.Data.Size),
 				unconsumedDetail(v.Data.Size),
 				false, v.ID))
 			continue
 		}
-		for _, e := range g.Out(v.ID) {
+		for _, e := range outE {
 			if v.Data.Size <= 0 {
 				continue
 			}
@@ -261,15 +267,16 @@ func detectIntraTaskLocality(edges []*dfl.Edge) []Opportunity {
 // (Table 1 row 5: case 1/3 — multiple consumers share one file — and case 2
 // — instances of the same task template access the same data, e.g. control
 // loops).
-func detectInterTaskLocality(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
+func detectInterTaskLocality(ix *dfl.Index, data []int32) []Opportunity {
 	var out []Opportunity
-	for _, v := range data {
-		consumers := g.Consumers(v.ID)
+	for _, p := range data {
+		consumers := ix.Consumers(p)
 		if len(consumers) < 2 {
 			continue
 		}
+		outE, _ := ix.Out(p)
 		var vol float64
-		for _, e := range g.Out(v.ID) {
+		for _, e := range outE {
 			vol += float64(e.Props.Volume)
 		}
 		// Case 2: if the consumers are instances of one task template, the
@@ -288,7 +295,7 @@ func detectInterTaskLocality(g *dfl.Graph, data []*dfl.Vertex) []Opportunity {
 			}
 		}
 		detail := sharedDetail(len(consumers), vol, loopN, loopTemplate)
-		vs := append([]dfl.ID{v.ID}, consumers...)
+		vs := append([]dfl.ID{ix.IDAt(p)}, consumers...)
 		out = append(out, newOpp(InterTaskLocality, vol*float64(len(consumers)-1),
 			detail, false, vs...))
 	}
@@ -324,15 +331,15 @@ func detectCriticalFlow(g *dfl.Graph, cat *cpa.Caterpillar) []Opportunity {
 
 // detectParallelismTradeoff flags consumer tasks whose in-degree implies many
 // concurrently-executing producers (Table 1 row 7). Requires validation.
-func detectParallelismTradeoff(g *dfl.Graph, tasks []*dfl.Vertex, cfg Config) []Opportunity {
+func detectParallelismTradeoff(ix *dfl.Index, tasks []int32, cfg Config) []Opportunity {
 	var out []Opportunity
-	for _, v := range tasks {
-		in := g.InDegree(v.ID)
+	for _, p := range tasks {
+		in := ix.InDegree(p)
 		if in < cfg.ParallelismInDegree {
 			continue
 		}
 		out = append(out, newOpp(ParallelismTradeoff, float64(in),
-			parallelismDetail(in), true, v.ID))
+			parallelismDetail(in), true, ix.IDAt(p)))
 	}
 	return out
 }
@@ -340,50 +347,55 @@ func detectParallelismTradeoff(g *dfl.Graph, tasks []*dfl.Vertex, cfg Config) []
 // detectTaskCompositions finds the §5.3–5.4 task-relation patterns:
 // aggregators, compressor-aggregators, splitters, and aggregator-then-regular
 // compositions.
-func detectTaskCompositions(g *dfl.Graph, tasks []*dfl.Vertex) []Opportunity {
+func detectTaskCompositions(ix *dfl.Index, tasks []int32) []Opportunity {
 	var out []Opportunity
-	for _, v := range tasks {
-		in, outd := g.InDegree(v.ID), g.OutDegree(v.ID)
+	for _, p := range tasks {
+		inE, _ := ix.In(p)
+		outE, outD := ix.Out(p)
+		in, outd := len(inE), len(outE)
+		id := ix.IDAt(p)
 
 		// Splitter: one input, many outputs.
 		if in <= 1 && outd >= 2 {
 			var vol float64
-			for _, e := range g.Out(v.ID) {
+			for _, e := range outE {
 				vol += float64(e.Props.Volume)
 			}
 			out = append(out, newOpp(SplitterPattern, vol,
-				splitterDetail(outd), false, v.ID))
+				splitterDetail(outd), false, id))
 		}
 
 		// Aggregator: many inputs of similar size, combined output(s).
 		if in >= 2 && outd >= 1 {
 			var sizes []float64
 			var inVol float64
-			for _, e := range g.In(v.ID) {
+			for _, e := range inE {
 				sizes = append(sizes, float64(e.Props.Volume))
 				inVol += float64(e.Props.Volume)
 			}
 			if cv := coeffVar(sizes); cv <= aggregatorCV {
 				var outVol float64
-				for _, e := range g.Out(v.ID) {
+				for _, e := range outE {
 					outVol += float64(e.Props.Volume)
 				}
 				if inVol > 0 && outVol > 0 && outVol/inVol < compressRatio {
 					out = append(out, newOpp(CompressorAggregator, inVol,
-						compressorDetail(in, inVol, outVol, 100*outVol/inVol), false, v.ID))
+						compressorDetail(in, inVol, outVol, 100*outVol/inVol), false, id))
 				} else {
 					out = append(out, newOpp(AggregatorPattern, inVol,
-						aggregatorDetail(in, inVol, cv), false, v.ID))
+						aggregatorDetail(in, inVol, cv), false, id))
 				}
 
 				// Composition: aggregator followed by a regular task (§5.4).
-				for _, pe := range g.Out(v.ID) {
-					for _, ce := range g.Out(pe.Dst) {
-						if Classify(g, ce.Dst) == Regular || g.InDegree(ce.Dst) == 1 {
+				for k, pe := range outE {
+					ces, cds := ix.Out(outD[k])
+					for j, ce := range ces {
+						c := cds[j]
+						if classify(ix.InDegree(c), ix.OutDegree(c)) == Regular || ix.InDegree(c) == 1 {
 							out = append(out, newOpp(AggregatorThenRegular,
 								float64(pe.Props.Volume),
 								feedsDetail(pe.Dst.Name, ce.Dst.Name),
-								false, v.ID, pe.Dst, ce.Dst))
+								false, id, pe.Dst, ce.Dst))
 						}
 					}
 				}

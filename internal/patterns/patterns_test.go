@@ -2,7 +2,9 @@ package patterns
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -171,6 +173,40 @@ func TestRankMatchesReference(t *testing.T) {
 		}) {
 			t.Errorf("%s: benefits not in the reference comparator's order", name)
 		}
+	}
+}
+
+// TestRankByKeyBlocks ranks items whose keys fill, overflow and exceed the
+// key blocks, with many tied values, against a stable sort on string keys.
+func TestRankByKeyBlocks(t *testing.T) {
+	type item struct {
+		val float64
+		key string
+	}
+	rng := rand.New(rand.NewSource(3))
+	var items []item
+	for i := 0; i < 3000; i++ {
+		n := rng.Intn(300)
+		if i%97 == 0 {
+			n = 20000 + rng.Intn(20000) // longer than a block
+		}
+		key := make([]byte, n)
+		for k := range key {
+			key[k] = 'a' + byte(rng.Intn(3))
+		}
+		items = append(items, item{float64(rng.Intn(5)), string(key)})
+	}
+	want := slices.Clone(items)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].val != want[j].val {
+			return want[i].val > want[j].val
+		}
+		return want[i].key < want[j].key
+	})
+	rankBy(items, func(it *item) float64 { return it.val },
+		func(it *item, b []byte) []byte { return append(b, it.key...) })
+	if !slices.Equal(items, want) {
+		t.Fatal("rankBy order differs from the stable string-key sort")
 	}
 }
 
