@@ -744,6 +744,12 @@ func appendFrontier(g *dfl.Graph, tail dfl.ID, i int) dfl.ID {
 //
 //	queries — the seed's rebuild cost at every step.
 //
+// compact-layered-8000:     one task property edit, then Index, on
+//
+//	serve-mixed's graph shape with the fingerprint
+//	carried — the compaction every fresh serve query
+//	pays.
+//
 // streaming-build-N:        a full cold build with a topo + fingerprint query
 //
 //	after every single append; near-linear total time
@@ -805,6 +811,26 @@ func BenchmarkAblation_IncrementalIndex(b *testing.B) {
 				b.Fatal(err)
 			}
 			_ = g.Fingerprint()
+		}
+	})
+
+	b.Run("compact-layered-8000", func(b *testing.B) {
+		l := dfltest.NewLayered(1)
+		l.Grow(8000)
+		g := l.G
+		g.Fingerprint() // warm the sums so each compaction carries them
+		task := dfl.TaskID("task-004000")
+		props := g.Vertex(task).Task
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			props.ReadOps = uint64(i)
+			g.SetTaskProps(task.Name, props)
+			g.Index()
+		}
+		b.StopTimer()
+		if st := g.IndexStats(); st.Fast != 0 {
+			b.Fatalf("a property edit took the O(delta) path: %+v", st)
 		}
 	})
 

@@ -115,14 +115,22 @@ func (p Path) Contains(id dfl.ID) bool {
 // given edge and vertex weights via one topological dynamic program — O(V+E).
 // Either weight may be nil to ignore that component.
 func CriticalPath(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (Path, error) {
-	dp, err := SolvePaths(g, ew, vw)
+	dp, err := solve(g, ew, vw)
 	if err != nil {
 		return Path{}, err
 	}
-	if len(dp.Sinks) == 0 {
+	// The heaviest sink in one pass, under SolvePaths' ranking.
+	best := int32(-1)
+	order, _ := dp.Index.Topo()
+	for _, vi := range order {
+		if dp.Index.OutDegree(vi) == 0 && (best < 0 || dp.ranksBefore(vi, best)) {
+			best = vi
+		}
+	}
+	if best < 0 {
 		return Path{}, fmt.Errorf("cpa: empty graph")
 	}
-	return dp.Path(0), nil
+	return dp.pathFrom(best), nil
 }
 
 // NearCriticalPaths returns up to k maximal paths ranked by weight, one per
@@ -163,9 +171,26 @@ type PathDP struct {
 }
 
 // SolvePaths runs the maximum-weight topological DP once — O(V+E) over the
-// indexed core, with dense slices instead of per-vertex maps. Either weight
-// may be nil to ignore that component. An empty graph has no sinks.
+// indexed core, with dense slices instead of per-vertex maps — and ranks
+// every sink. Either weight may be nil to ignore that component. An empty
+// graph has no sinks.
 func SolvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*PathDP, error) {
+	dp, err := solve(g, ew, vw)
+	if err != nil {
+		return nil, err
+	}
+	order, _ := dp.Index.Topo()
+	for _, vi := range order {
+		if dp.Index.OutDegree(vi) == 0 {
+			dp.Sinks = append(dp.Sinks, vi)
+		}
+	}
+	sort.Slice(dp.Sinks, func(i, j int) bool { return dp.ranksBefore(dp.Sinks[i], dp.Sinks[j]) })
+	return dp, nil
+}
+
+// solve runs the DP and leaves Sinks empty.
+func solve(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*PathDP, error) {
 	if ew == nil {
 		ew = ZeroEdge
 	}
@@ -195,34 +220,30 @@ func SolvePaths(g *dfl.Graph, ew EdgeWeight, vw VertexWeight) (*PathDP, error) {
 			}
 		}
 	}
+	return &PathDP{Index: ix, Pred: pred, dist: dist}, nil
+}
 
-	// Rank sinks (no outgoing edges) by accumulated weight.
-	var sinks []int32
-	for _, vi := range order {
-		if ix.OutDegree(vi) == 0 {
-			sinks = append(sinks, vi)
-		}
+// ranksBefore reports whether sink a ranks before sink b: the heavier path
+// first, ties to the smaller ID string, "kind:name". Both kind names are four
+// bytes, so comparing the kind name and then the name gives that order
+// without building the strings.
+func (dp *PathDP) ranksBefore(a, b int32) bool {
+	if dp.dist[a] != dp.dist[b] {
+		return dp.dist[a] > dp.dist[b]
 	}
-	// Ties go to the smaller ID string, "kind:name". Both kind names are four
-	// bytes, so comparing the kind name and then the name gives that order
-	// without building the strings.
-	sort.Slice(sinks, func(i, j int) bool {
-		if dist[sinks[i]] != dist[sinks[j]] {
-			return dist[sinks[i]] > dist[sinks[j]]
-		}
-		a, b := ix.IDAt(sinks[i]), ix.IDAt(sinks[j])
-		if ka, kb := a.Kind.String(), b.Kind.String(); ka != kb {
-			return ka < kb
-		}
-		return a.Name < b.Name
-	})
-	return &PathDP{Index: ix, Sinks: sinks, Pred: pred, dist: dist}, nil
+	x, y := dp.Index.IDAt(a), dp.Index.IDAt(b)
+	if kx, ky := x.Kind.String(), y.Kind.String(); kx != ky {
+		return kx < ky
+	}
+	return x.Name < y.Name
 }
 
 // Path reconstructs the i-th ranked path by walking predecessors from its
 // sink.
-func (dp *PathDP) Path(i int) Path {
-	s := dp.Sinks[i]
+func (dp *PathDP) Path(i int) Path { return dp.pathFrom(dp.Sinks[i]) }
+
+// pathFrom reconstructs the heaviest path into slot s.
+func (dp *PathDP) pathFrom(s int32) Path {
 	depth := 1
 	for cur := s; dp.Pred[cur] >= 0; cur = dp.Pred[cur] {
 		depth++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"datalife/internal/dfl"
+	"datalife/internal/dfl/dfltest"
 )
 
 // randomFanDAG builds a multi-sink DAG: a shared source fanning out into
@@ -92,5 +93,39 @@ func TestSolvePathsCycleError(t *testing.T) {
 	}
 	if _, err := NearCriticalPaths(g, ByVolume, nil, 1); err == nil {
 		t.Fatal("NearCriticalPaths: expected cycle error")
+	}
+}
+
+// TestCriticalPathMatchesSolvePaths checks that CriticalPath, which picks the
+// heaviest sink in one pass, returns SolvePaths' top-ranked path over the
+// equivalence corpus: under the volume weight, with task time as the vertex
+// weight, and under zero weights, where every sink ties and only the ID
+// tie-break decides. On a cyclic graph both return the same error.
+func TestCriticalPathMatchesSolvePaths(t *testing.T) {
+	weights := []struct {
+		name string
+		ew   EdgeWeight
+		vw   VertexWeight
+	}{
+		{"volume", ByVolume, nil},
+		{"volume+task-time", ByVolume, ByTaskTime},
+		{"task-time", nil, ByTaskTime},
+		{"zero", ZeroEdge, ZeroVertex},
+	}
+	for _, c := range dfltest.Corpus(t) {
+		for _, w := range weights {
+			got, err := CriticalPath(c.G, w.ew, w.vw)
+			dp, dpErr := SolvePaths(c.G, w.ew, w.vw)
+			if (err == nil) != (dpErr == nil) || err != nil && err.Error() != dpErr.Error() {
+				t.Fatalf("%s, %s: CriticalPath error %v, SolvePaths error %v", c.Name, w.name, err, dpErr)
+			}
+			if err != nil {
+				continue
+			}
+			if want := dp.Path(0); !pathsEqual([]Path{got}, []Path{want}) {
+				t.Fatalf("%s, %s: CriticalPath = %v (%g), SolvePaths' first path %v (%g)",
+					c.Name, w.name, got.Vertices, got.Weight, want.Vertices, want.Weight)
+			}
+		}
 	}
 }

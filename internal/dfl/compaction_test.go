@@ -7,14 +7,33 @@ import (
 	"testing"
 )
 
+// reference is the test oracle for one graph: a snapshot rebuilt by sorting,
+// plus the views a snapshot under test builds on first use, computed here
+// eagerly and without that code — the canonical edge order, every data
+// vertex's producer and consumer sets, and the content fingerprint summed
+// over the graph's own vertex and edge lists. Its Producers, Consumers,
+// canonEdges and Fingerprint shadow the embedded snapshot's, so a comparison
+// never reads the code it checks.
+type reference struct {
+	*Index
+	edges       []*Edge
+	prods, cons [][]ID // by slot; nil for task slots
+	fp          uint64
+}
+
+func (r *reference) Producers(p int32) []ID { return r.prods[p] }
+func (r *reference) Consumers(p int32) []ID { return r.cons[p] }
+func (r *reference) canonEdges() []*Edge    { return r.edges }
+func (r *reference) Fingerprint() uint64    { return r.fp }
+
 // buildIndexReference is the sort-based rebuild that counting-pass
 // compaction replaced, kept as its test oracle: IDs comparison-sorted, CSR
 // adjacency from per-vertex lists appended in g.edges order (not from the
 // Graph's adjacency reads, which serve from the snapshot under test), edges
 // stable-sorted by (src, dst) through position lookups in an ID-keyed table
-// (so duplicate endpoints keep insertion order), and each neighbor set sorted
-// per data vertex.
-func buildIndexReference(g *Graph) *Index {
+// (so duplicate endpoints keep insertion order), each neighbor set sorted
+// per data vertex, and the fingerprint summed over g's vertices and edges.
+func buildIndexReference(g *Graph) *reference {
 	n := g.NumVertices()
 	ix := &Index{
 		ids:       make([]ID, 0, n),
@@ -63,14 +82,6 @@ func buildIndexReference(g *Graph) *Index {
 		ix.inOff[i+1] = int32(len(ix.inEdges))
 	}
 
-	ix.edges = slices.Clone(g.edges)
-	slices.SortStableFunc(ix.edges, func(a, b *Edge) int {
-		if c := pos[a.Src] - pos[b.Src]; c != 0 {
-			return int(c)
-		}
-		return int(pos[a.Dst] - pos[b.Dst])
-	})
-
 	for _, e := range g.edges {
 		ix.totalVolume += e.Props.Volume
 		if r := e.Props.Rate(); r > ix.bestRate {
@@ -79,29 +90,43 @@ func buildIndexReference(g *Graph) *Index {
 	}
 	ix.buildTopo()
 
-	ix.nbrOff = []int32{0}
-	for i := ix.nTasks; i < n; i++ {
-		peerSets := [][]int32{
-			ix.inSrc[ix.inOff[i]:ix.inOff[i+1]],
-			ix.outDst[ix.outOff[i]:ix.outOff[i+1]],
+	ref := &reference{Index: ix, prods: make([][]ID, n), cons: make([][]ID, n)}
+	ref.edges = slices.Clone(g.edges)
+	slices.SortStableFunc(ref.edges, func(a, b *Edge) int {
+		if c := pos[a.Src] - pos[b.Src]; c != 0 {
+			return int(c)
 		}
-		for _, peers := range peerSets {
-			set := slices.Clone(peers)
-			slices.Sort(set)
-			for _, p := range slices.Compact(set) {
-				ix.nbrs = append(ix.nbrs, ix.ids[p])
-			}
-			ix.nbrOff = append(ix.nbrOff, int32(len(ix.nbrs)))
+		return int(pos[a.Dst] - pos[b.Dst])
+	})
+	distinct := func(peers []int32) []ID {
+		set := slices.Clone(peers)
+		slices.Sort(set)
+		var out []ID
+		for _, p := range slices.Compact(set) {
+			out = append(out, ix.ids[p])
 		}
+		return out
 	}
-	return ix
+	for i := ix.nTasks; i < n; i++ {
+		ref.prods[i] = distinct(ix.inSrc[ix.inOff[i]:ix.inOff[i+1]])
+		ref.cons[i] = distinct(ix.outDst[ix.outOff[i]:ix.outOff[i+1]])
+	}
+	var vs, es uint64
+	for _, v := range g.verts {
+		vs += vertexHash(v)
+	}
+	for _, e := range g.edges {
+		es += edgeHash(e)
+	}
+	ref.fp = combineFingerprint(n, m, vs, es)
+	return ref
 }
 
 // assertCompactionMatchesReference deep-compares a compacted snapshot with
-// the reference rebuild of the same graph, field by field.
-func assertCompactionMatchesReference(t *testing.T, g *Graph, ix *Index) {
+// the reference rebuild of the same graph, field by field, and then on what
+// its readers see.
+func assertCompactionMatchesReference(t *testing.T, ix *Index, ref *reference) {
 	t.Helper()
-	ref := buildIndexReference(g)
 	if !ix.canonical || ref.canonical != ix.canonical {
 		t.Fatal("a compacted snapshot must be canonical")
 	}
@@ -128,26 +153,17 @@ func assertCompactionMatchesReference(t *testing.T, g *Graph, ix *Index) {
 	same("inEdges", slices.Equal(ix.inEdges, ref.inEdges))
 	same("outDst", slices.Equal(ix.outDst, ref.outDst))
 	same("inSrc", slices.Equal(ix.inSrc, ref.inSrc))
-	same("canonical edges", slices.Equal(ix.edges, ref.edges))
 	same("topo", slices.Equal(ix.topo, ref.topo))
 	same("topoIDs", slices.Equal(ix.topoIDs, ref.topoIDs))
 	if (ix.topoErr == nil) != (ref.topoErr == nil) ||
 		(ix.topoErr != nil && ix.topoErr.Error() != ref.topoErr.Error()) {
 		t.Fatalf("cycle error: compaction %v, reference %v", ix.topoErr, ref.topoErr)
 	}
-	same("neighbor offsets", slices.Equal(ix.nbrOff, ref.nbrOff))
-	same("neighbor sets", slices.Equal(ix.nbrs, ref.nbrs))
-	for p := int32(ix.nTasks); p < int32(ix.n); p++ {
-		same("producers", slices.Equal(ix.Producers(p), ref.Producers(p)))
-		same("consumers", slices.Equal(ix.Consumers(p), ref.Consumers(p)))
-	}
 	if ix.totalVolume != ref.totalVolume || ix.bestRate != ref.bestRate {
 		t.Fatalf("totals: volume %d/%d best rate %g/%g",
 			ix.totalVolume, ref.totalVolume, ix.bestRate, ref.bestRate)
 	}
-	if ix.Fingerprint() != ref.Fingerprint() {
-		t.Fatalf("fingerprint: compaction %#x, reference %#x", ix.Fingerprint(), ref.Fingerprint())
-	}
+	assertSnapshotMatches(t, ix, ref)
 }
 
 // firstEdge returns the first edge in insertion order that match accepts, or
@@ -164,12 +180,15 @@ func firstEdge(g *Graph, match func(*Edge) bool) *Edge {
 
 // TestCompactionMatchesReference grows seeded layered DAGs across several
 // compactions interleaved with fast derivations — duplicate endpoints, a
-// cycle, property edits and Invalidate included — and after every
-// compaction checks the counting-pass rebuild against the sort-based
-// reference on every field of the snapshot. Between its queries the trace
-// reads the graph only through calls that derive no snapshot, and each
-// seed's derivation counts are pinned, so every compaction the trace pays is
-// one the reference checks.
+// cycle, property edits and Invalidate included — and checks every
+// compaction against the sort-based reference on every field of the
+// snapshot, and every snapshot, compacted or overlay, on what its readers
+// see: each slot's producers and consumers (nil for a task), the canonical
+// edges and the fingerprint. A third of the snapshots are checked only after
+// the trace ends, so their views are built after later derivations. Between
+// its queries the trace reads the graph only through calls that derive no
+// snapshot, and each seed's derivation counts are pinned, so every
+// compaction the trace pays is one the reference checks.
 func TestCompactionMatchesReference(t *testing.T) {
 	wantStats := map[int64]IndexStats{7: {Derivations: 26, Fast: 12, Compactions: 14}}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -180,15 +199,35 @@ func TestCompactionMatchesReference(t *testing.T) {
 			vol := func() FlowProps {
 				return FlowProps{Volume: uint64(1 + rng.Intn(1000)), Latency: float64(1+rng.Intn(8)) / 2}
 			}
+			// Every third snapshot is pinned unread: its reference is
+			// taken at once, but its views built on first use (edges,
+			// producer and consumer sets, the fingerprint) are first read
+			// when the trace ends, after the writer has moved on.
+			type pin struct {
+				ix        *Index
+				ref       *reference
+				compacted bool
+			}
+			check := func(p pin) {
+				t.Helper()
+				if p.compacted {
+					assertCompactionMatchesReference(t, p.ix, p.ref)
+				} else {
+					assertSnapshotMatches(t, p.ix, p.ref)
+				}
+			}
+			var pins []pin
+			queries := 0
 			query := func() {
 				t.Helper()
 				before := g.IndexStats().Compactions
 				ix := g.Index()
-				if g.IndexStats().Compactions > before {
-					assertCompactionMatchesReference(t, g, ix)
-				} else {
-					assertSnapshotEquivalent(t, g)
+				p := pin{ix, buildIndexReference(g), g.IndexStats().Compactions > before}
+				if queries++; queries%3 == 0 {
+					pins = append(pins, p)
+					return
 				}
+				check(p)
 			}
 			for layer := 0; layer < 6; layer++ {
 				// A layer of tasks reading earlier data and writing new data;
@@ -282,6 +321,15 @@ func TestCompactionMatchesReference(t *testing.T) {
 			}
 			if st := g.IndexStats(); st != want {
 				t.Fatalf("trace derived %+v, want %+v", st, want)
+			}
+			kinds := map[bool]int{}
+			for _, p := range pins {
+				check(p)
+				kinds[p.compacted]++
+			}
+			if kinds[true] == 0 || kinds[false] == 0 {
+				t.Fatalf("pinned %d compacted and %d overlay snapshots, want both kinds",
+					kinds[true], kinds[false])
 			}
 			if _, err := g.TopoSort(); err == nil {
 				t.Fatal("the closed cycle must be reported")

@@ -41,6 +41,8 @@ type pending struct {
 // snapshots capture prefix headers, so concurrent readers of older snapshots
 // never observe later appends.
 type epoch struct {
+	// compacted is the snapshot that started the epoch.
+	compacted  *Index
 	extraIDs   []ID
 	extraVerts []*Vertex
 	extraAdj   []*slotAdj
@@ -163,6 +165,7 @@ func (g *Graph) compact(prev *Index, pend pending) *Index {
 		g.carryFingerprint(prev, ix, pend)
 	}
 	g.ep = &epoch{
+		compacted: ix,
 		posExtra:  &sync.Map{},
 		topoSlots: ix.topo,
 		topoIDs:   ix.topoIDs,
@@ -374,7 +377,6 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 		nTasks: prev.nTasks,
 		baseN:  baseN,
 
-		edges:    prev.edges,
 		outOff:   prev.outOff,
 		inOff:    prev.inOff,
 		outEdges: prev.outEdges,
@@ -392,6 +394,7 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 		extraEdges: ep.extraEdges,
 		seqMark:    int32(len(ep.extraEdges)),
 		posExtra:   ep.posExtra,
+		compacted:  ep.compacted,
 		touched:    touched,
 
 		topo:    topo,
@@ -400,8 +403,6 @@ func (g *Graph) fastDerive(prev *Index) *Index {
 
 		totalVolume: totalVolume,
 		bestRate:    bestRate,
-		nbrs:        prev.nbrs,
-		nbrOff:      prev.nbrOff,
 	}
 	g.carryFingerprint(prev, ix, pending{})
 	return ix

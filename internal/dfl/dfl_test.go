@@ -3,6 +3,7 @@ package dfl
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,55 @@ func TestUseConcurrencyAndProducersConsumers(t *testing.T) {
 			t.Fatalf("Producers(%v) = %#v, Consumers = %#v; want nil", id, p, c)
 		}
 	}
+}
+
+// TestIndexProducersConsumersOfTaskSlot checks the slot-level sets of a
+// task slot, taken from Locate: nil on a compacted snapshot and on an overlay
+// slot, as the ID-keyed Graph reads answer, while each data slot keeps its
+// distinct producers and consumers.
+func TestIndexProducersConsumersOfTaskSlot(t *testing.T) {
+	g := New()
+	mustEdge := func(src, dst ID, kind EdgeKind) {
+		t.Helper()
+		if _, err := g.AddEdge(src, dst, kind, FlowProps{Volume: 1, Latency: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, tasks []ID, data map[ID][2][]ID) {
+		t.Helper()
+		for _, id := range tasks {
+			ix, s := g.Locate(id)
+			if p, c := ix.Producers(s), ix.Consumers(s); p != nil || c != nil {
+				t.Fatalf("%s: Producers(%v) = %v, Consumers = %v; want nil", what, id, p, c)
+			}
+		}
+		for id, want := range data {
+			ix, s := g.Locate(id)
+			if p, c := ix.Producers(s), ix.Consumers(s); !slices.Equal(p, want[0]) || !slices.Equal(c, want[1]) {
+				t.Fatalf("%s: Producers(%v) = %v, Consumers = %v; want %v", what, id, p, c, want)
+			}
+		}
+	}
+	mustEdge(TaskID("p"), DataID("x"), Producer)
+	mustEdge(DataID("x"), TaskID("c"), Consumer)
+	mustEdge(DataID("x"), TaskID("c"), Consumer)
+	if !g.Index().canonical {
+		t.Fatal("the first snapshot must be compacted")
+	}
+	check("compacted", []ID{TaskID("p"), TaskID("c")},
+		map[ID][2][]ID{DataID("x"): {{TaskID("p")}, {TaskID("c")}}})
+
+	// c → y → q hangs off the topological tail: an O(delta) overlay whose
+	// new task q is an overlay slot.
+	mustEdge(TaskID("c"), DataID("y"), Producer)
+	mustEdge(DataID("y"), TaskID("q"), Consumer)
+	if g.Index().canonical || g.IndexStats().Fast != 1 {
+		t.Fatalf("expected an overlay snapshot, stats %+v", g.IndexStats())
+	}
+	check("overlay", []ID{TaskID("p"), TaskID("c"), TaskID("q")}, map[ID][2][]ID{
+		DataID("x"): {{TaskID("p")}, {TaskID("c")}},
+		DataID("y"): {{TaskID("c")}, {TaskID("q")}},
+	})
 }
 
 // TestEdgeLookupsDeriveNoSnapshot checks that FindEdge and SetEdgeProps read

@@ -122,7 +122,7 @@ func fingerprintSums(ix *Index) (vertSum, edgeSum uint64) {
 	for _, v := range ix.extraVerts {
 		vertSum += vertexHash(v)
 	}
-	for _, e := range ix.edges {
+	for _, e := range ix.outEdges {
 		edgeSum += edgeHash(e)
 	}
 	for _, e := range ix.extraEdges {

@@ -11,14 +11,45 @@ import (
 
 // assertSnapshotEquivalent deep-compares the graph's (possibly incremental)
 // snapshot against a naive from-scratch buildIndexReference rebuild on every
-// public accessor. Slot numbering may differ between the two (overlay snapshots keep
-// delta vertices after the base), so adjacency and neighbor sets are compared
-// at the ID level and canonical views element-wise.
+// public accessor, the ID-keyed Graph reads served from it included.
 func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 	t.Helper()
 	ix := g.Index()
 	ref := buildIndexReference(g)
+	assertSnapshotMatches(t, ix, ref)
 
+	gotIDs, gErr := g.TopoSort()
+	refTopo, refErr := ref.Topo()
+	if (gErr == nil) != (refErr == nil) || gErr == nil && len(gotIDs) != len(refTopo) {
+		t.Fatalf("TopoSort: %d IDs, error %v; rebuild %d slots, error %v", len(gotIDs), gErr, len(refTopo), refErr)
+	}
+	for k, slot := range refTopo {
+		if want := ref.IDAt(slot); gotIDs[k] != want {
+			t.Fatalf("TopoSort position %d: %v, rebuild %v", k, gotIDs[k], want)
+		}
+	}
+	for r := int32(0); r < int32(ref.Len()); r++ {
+		id := ref.IDAt(r)
+		if id.Kind != DataVertex {
+			continue
+		}
+		if got, want := g.Producers(id), ref.Producers(r); !idsEqual(got, want) {
+			t.Fatalf("Producers(%v): incremental %v, rebuild %v", id, got, want)
+		}
+		if got, want := g.Consumers(id), ref.Consumers(r); !idsEqual(got, want) {
+			t.Fatalf("Consumers(%v): incremental %v, rebuild %v", id, got, want)
+		}
+	}
+}
+
+// assertSnapshotMatches deep-compares one snapshot against the reference
+// rebuild of the graph it was derived from, on every snapshot accessor. Slot
+// numbering may differ between the two (overlay snapshots keep delta
+// vertices after the base), so adjacency and neighbor sets are compared at
+// the ID level and canonical views element-wise. It reads only the snapshot,
+// so it can check a snapshot the graph has since moved past.
+func assertSnapshotMatches(t *testing.T, ix *Index, ref *reference) {
+	t.Helper()
 	if ix.Len() != ref.Len() {
 		t.Fatalf("Len: incremental %d, rebuild %d", ix.Len(), ref.Len())
 	}
@@ -46,24 +77,22 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 
 	// Topological order: identical ID sequence and identical error text.
 	refTopo, refErr := ref.Topo()
-	_, ixErr := ix.Topo()
-	gotIDs, gErr := g.TopoSort()
-	if (refErr == nil) != (ixErr == nil) || (refErr == nil) != (gErr == nil) {
-		t.Fatalf("Topo error mismatch: rebuild %v, incremental %v / %v", refErr, ixErr, gErr)
+	ixTopo, ixErr := ix.Topo()
+	if (refErr == nil) != (ixErr == nil) {
+		t.Fatalf("Topo error mismatch: rebuild %v, incremental %v", refErr, ixErr)
 	}
 	if refErr != nil {
 		if refErr.Error() != ixErr.Error() {
 			t.Fatalf("cycle error text differs:\n incremental %q\n rebuild     %q", ixErr, refErr)
 		}
 	} else {
-		if len(gotIDs) != len(refTopo) {
-			t.Fatalf("topo length: incremental %d, rebuild %d", len(gotIDs), len(refTopo))
+		if len(ixTopo) != len(refTopo) || len(ix.topoIDs) != len(refTopo) {
+			t.Fatalf("topo length: incremental %d/%d IDs, rebuild %d", len(ixTopo), len(ix.topoIDs), len(refTopo))
 		}
-		ixTopo, _ := ix.Topo()
 		for k, slot := range refTopo {
-			if want := ref.IDAt(slot); gotIDs[k] != want || ix.IDAt(ixTopo[k]) != want {
+			if want := ref.IDAt(slot); ix.topoIDs[k] != want || ix.IDAt(ixTopo[k]) != want {
 				t.Fatalf("topo position %d: incremental %v/%v, rebuild %v",
-					k, gotIDs[k], ix.IDAt(ixTopo[k]), want)
+					k, ix.topoIDs[k], ix.IDAt(ixTopo[k]), want)
 			}
 		}
 	}
@@ -124,17 +153,23 @@ func assertSnapshotEquivalent(t *testing.T, g *Graph) {
 		}
 	}
 
-	// Producer/consumer sets for every data vertex.
+	// Producer/consumer sets of every slot: a data vertex's distinct peers,
+	// nil for a task.
 	for r := int32(0); r < int32(ref.Len()); r++ {
 		id := ref.IDAt(r)
-		if id.Kind != DataVertex {
+		p := ix.Pos(id)
+		prods, cons := ix.Producers(p), ix.Consumers(p)
+		if id.Kind == TaskVertex {
+			if prods != nil || cons != nil {
+				t.Fatalf("task %v: Producers %v, Consumers %v; want nil", id, prods, cons)
+			}
 			continue
 		}
-		if got, want := g.Producers(id), ref.Producers(r); !idsEqual(got, want) {
-			t.Fatalf("Producers(%v): incremental %v, rebuild %v", id, got, want)
+		if want := ref.Producers(r); !idsEqual(prods, want) {
+			t.Fatalf("Producers(%v): incremental %v, rebuild %v", id, prods, want)
 		}
-		if got, want := g.Consumers(id), ref.Consumers(r); !idsEqual(got, want) {
-			t.Fatalf("Consumers(%v): incremental %v, rebuild %v", id, got, want)
+		if want := ref.Consumers(r); !idsEqual(cons, want) {
+			t.Fatalf("Consumers(%v): incremental %v, rebuild %v", id, cons, want)
 		}
 	}
 
@@ -608,8 +643,11 @@ func TestStaleSnapshotsUnderConcurrentMutation(t *testing.T) {
 // delta through its ID-keyed methods at once, after compacting batches and
 // after O(delta) appends at the topological tail: one reader derives the
 // snapshot while the others wait for it, and every read must equal the
-// insertion-order lists built from the edge list. Run it under the race
-// detector.
+// insertion-order lists built from the edge list. Each compacted and each
+// overlay snapshot is then pinned, and more goroutines race its first Edges
+// and Producers/Consumers calls against the writer's next appends and
+// derivations; their answers must equal the pinned edge list's. Run it under
+// the race detector.
 func TestConcurrentGraphReads(t *testing.T) {
 	g := New()
 	rng := rand.New(rand.NewSource(5))
@@ -664,7 +702,58 @@ func TestConcurrentGraphReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// pin takes the current snapshot and the answers its edge list gives,
+	// then starts readers whose first calls build its lazy views while the
+	// writer goes on; the returned func waits for them.
+	pin := func(round int) func() {
+		t.Helper()
+		ix := g.Index()
+		edges := slices.Clone(g.edges)
+		slices.SortStableFunc(edges, cmpEdge)
+		ins, outs := make(map[ID][]ID), make(map[ID][]ID)
+		for _, e := range g.edges {
+			ins[e.Dst] = append(ins[e.Dst], e.Src)
+			outs[e.Src] = append(outs[e.Src], e.Dst)
+		}
+		distinct := func(ids []ID) []ID {
+			slices.SortFunc(ids, cmpID)
+			return slices.Compact(ids)
+		}
+		prods, cons := make([][]ID, ix.Len()), make([][]ID, ix.Len())
+		for p := range prods {
+			if id := ix.IDAt(int32(p)); id.Kind == DataVertex {
+				prods[p], cons[p] = distinct(ins[id]), distinct(outs[id])
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 3)
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !slices.Equal(ix.canonEdges(), edges) {
+					errs <- fmt.Errorf("round %d: pinned Edges differ from the sorted edge list", round)
+					return
+				}
+				for p := int32(0); p < int32(ix.Len()); p++ {
+					if !slices.Equal(ix.Producers(p), prods[p]) || !slices.Equal(ix.Consumers(p), cons[p]) {
+						errs <- fmt.Errorf("round %d: pinned producers or consumers of %v differ", round, ix.IDAt(p))
+						return
+					}
+				}
+			}()
+		}
+		return func() {
+			t.Helper()
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		}
+	}
 	tail := 0
+	wait := func() {}
 	for round := 0; round < 8; round++ {
 		// Task i writes file i and reads files below i, so the graph stays
 		// acyclic; random indices land all over the canonical order.
@@ -676,6 +765,8 @@ func TestConcurrentGraphReads(t *testing.T) {
 			_, _ = g.AddEdge(file(rng.Intn(i)), task(i), Consumer, FlowProps{Volume: uint64(k + 2)})
 		}
 		check(round)
+		wait()
+		wait = pin(round)
 		order, err := g.TopoSort()
 		if err != nil {
 			t.Fatal(err)
@@ -693,7 +784,10 @@ func TestConcurrentGraphReads(t *testing.T) {
 			last = next
 		}
 		check(round)
+		wait()
+		wait = pin(round)
 	}
+	wait()
 	if st := g.IndexStats(); st.Fast == 0 || st.Compactions < 8 {
 		t.Fatalf("reads did not derive both kinds of snapshot: %+v", st)
 	}

@@ -8,9 +8,11 @@ import (
 )
 
 // Index is the graph's compact indexed core: a dense-integer view of the
-// vertex set plus CSR-style adjacency, sorted vertex/edge snapshots, the
-// deterministic topological order, and per-graph aggregates (total volume,
-// best flow rate, distinct producer/consumer sets per data vertex).
+// vertex set plus CSR-style adjacency, the deterministic topological order,
+// and per-graph aggregates (total volume, best flow rate). The sorted views
+// (Vertices, Edges) and the content fingerprint are derived from that core
+// when first asked for, and the distinct producer and consumer sets of a
+// data vertex on each call.
 //
 // An Index is an immutable snapshot shared by every reader. Snapshots are
 // derived incrementally: appending to the graph (AddEdge, a new vertex)
@@ -32,8 +34,11 @@ import (
 // (kind, name) order frozen at compaction; overlay slots [baseN,n) follow
 // insertion order. Canonical snapshots (fresh from compaction) additionally
 // guarantee that slot order IS canonical order. Sorted views (Vertices,
-// Edges) are canonical on every snapshot; on overlay snapshots they are
-// materialized lazily in O(n).
+// Edges) are canonical on every snapshot. The canonical edge array is built
+// once per epoch, on the first Edges of any of its snapshots, by the
+// compacted snapshot; an overlay snapshot merges its own sorted extras into
+// it, as it merges its extra vertices into the base vertex array, lazily in
+// O(n).
 //
 // All slices returned by Index (and by the Graph query methods backed by it)
 // are shared views: callers must not modify them.
@@ -46,8 +51,6 @@ type Index struct {
 	// nTasks splits the base: [0,nTasks) are tasks, [nTasks,baseN) are data.
 	nTasks int
 	baseN  int32
-
-	edges []*Edge // base edges sorted by (src, dst)
 
 	// Base CSR adjacency. Out edges of base vertex i are
 	// outEdges[outOff[i]:outOff[i+1]], in the per-vertex insertion order the
@@ -80,6 +83,11 @@ type Index struct {
 	// filtered out by Pos.
 	posExtra *sync.Map
 
+	// compacted is the epoch's compacted snapshot, whose canonical edge
+	// array an overlay snapshot merges its extras into; nil on the compacted
+	// snapshot itself.
+	compacted *Index
+
 	// touched overrides the out-lists of base slots that gained edges since
 	// the compaction; no pre-existing slot ever gains an in-edge in an
 	// overlay. Entries are immutable; the map is cloned copy-on-write per
@@ -92,15 +100,6 @@ type Index struct {
 
 	totalVolume uint64
 	bestRate    float64
-
-	// nbrs holds, per base data slot, the distinct producer and consumer
-	// IDs, each set sorted, as sub-slices of one flat array: for the j-th
-	// data slot (slot nTasks+j) the producers are nbrs[nbrOff[2j]:nbrOff[2j+1]]
-	// and the consumers nbrs[nbrOff[2j+1]:nbrOff[2j+2]]. The producer sets
-	// hold for every base slot, the consumer sets for untouched ones; overlay
-	// slots are computed on demand.
-	nbrs   []ID
-	nbrOff []int32
 
 	fpOnce  sync.Once
 	fpReady atomic.Bool
@@ -175,11 +174,13 @@ func cmpEdge(a, b *Edge) int {
 	return cmpID(a.Dst, b.Dst)
 }
 
-// buildIndex is the full (compacting) rebuild: everything re-frozen in
-// canonical order with an empty overlay. It hashes no ID and sorts no edge:
-// the vertex order merges the slots added since the previous compaction into
-// that compaction's order, and the CSR adjacency, the canonical edge order
-// and the neighbor sets come from counting passes over slots.
+// buildIndex is the full (compacting) rebuild: the vertex arrays, the CSR
+// adjacency, the topological order and the aggregates re-frozen in canonical
+// order with an empty overlay; the canonical edge array waits for its first
+// reader (canonEdges). It hashes no ID and sorts no edge: the vertex order
+// merges the slots added since the previous compaction into that
+// compaction's order, and the CSR adjacency comes from a counting pass over
+// slots.
 func buildIndex(g *Graph) *Index {
 	order, rank := g.canonicalOrder()
 	n := len(order)
@@ -204,6 +205,7 @@ func buildIndex(g *Graph) *Index {
 	// count each position's degree, turn the counts into end offsets with a
 	// running sum, then place the edges walking g.edges backwards and
 	// decrementing the offsets, which leaves every offset at its list's start.
+	// The placement pass also sums the aggregates.
 	m := len(g.edges)
 	ix.mEdges = m
 	ix.outOff = make([]int32, n+1)
@@ -228,23 +230,6 @@ func buildIndex(g *Graph) *Index {
 		ix.outEdges[ix.outOff[s]], ix.outDst[ix.outOff[s]] = e, d
 		ix.inOff[d]--
 		ix.inEdges[ix.inOff[d]], ix.inSrc[ix.inOff[d]] = e, s
-	}
-
-	// Canonical edge order by (src, dst): walk destinations in canonical
-	// order and append each in-edge to its source's bucket, so each bucket
-	// is sorted by destination and duplicate endpoints keep insertion order.
-	ix.edges = make([]*Edge, m)
-	cur := slices.Clone(ix.outOff[:n])
-	for d := 0; d < n; d++ {
-		for k := ix.inOff[d]; k < ix.inOff[d+1]; k++ {
-			s := ix.inSrc[k]
-			ix.edges[cur[s]] = ix.inEdges[k]
-			cur[s]++
-		}
-	}
-
-	// Aggregates: one pass over the edge set.
-	for _, e := range g.edges {
 		ix.totalVolume += e.Props.Volume
 		if r := e.Props.Rate(); r > ix.bestRate {
 			ix.bestRate = r
@@ -252,7 +237,6 @@ func buildIndex(g *Graph) *Index {
 	}
 
 	ix.buildTopo()
-	ix.buildNeighbors()
 	return ix
 }
 
@@ -295,29 +279,20 @@ func (g *Graph) canonicalOrder() (order, rank []int32) {
 func (ix *Index) buildTopo() {
 	n := len(ix.ids)
 	indeg := make([]int32, n)
+	order := make([]int32, 0, n) // the FIFO queue; its pop order is the order
 	for i := range indeg {
-		indeg[i] = ix.inOff[i+1] - ix.inOff[i]
-	}
-	queue := make([]int32, 0, n)
-	for i := int32(0); i < int32(n); i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+		if indeg[i] = ix.inOff[i+1] - ix.inOff[i]; indeg[i] == 0 {
+			order = append(order, int32(i))
 		}
 	}
-	order := make([]int32, 0, n)
-	var freed []int32
-	for head := 0; head < len(queue); head++ {
-		vi := queue[head]
-		order = append(order, vi)
-		freed = freed[:0]
+	for head := 0; head < len(order); head++ {
+		vi, freed := order[head], len(order)
 		for _, di := range ix.outDst[ix.outOff[vi]:ix.outOff[vi+1]] {
-			indeg[di]--
-			if indeg[di] == 0 {
-				freed = append(freed, di)
+			if indeg[di]--; indeg[di] == 0 {
+				order = append(order, di)
 			}
 		}
-		slices.Sort(freed)
-		queue = append(queue, freed...)
+		slices.Sort(order[freed:])
 	}
 	if len(order) != n {
 		ix.topoErr = fmt.Errorf("dfl: graph has a cycle (%d of %d vertices ordered)",
@@ -329,55 +304,6 @@ func (ix *Index) buildTopo() {
 	for i, vi := range order {
 		ix.topoIDs[i] = ix.ids[vi]
 	}
-}
-
-// buildNeighbors computes, per data vertex, the distinct producer and
-// consumer sets in canonical order into the flat nbrs array, without
-// sorting: producers are found walking sources in canonical order over the
-// out-lists, consumers walking destinations over the in-lists, and a repeat
-// of the peer just seen is a duplicate edge. The first pass counts the sets,
-// the second fills them walking backwards from their ends.
-func (ix *Index) buildNeighbors() {
-	n, nt := int32(len(ix.ids)), int32(ix.nTasks)
-	off := make([]int32, 2*(n-nt)+1)
-	last := make([]int32, n) // the peer that last added to each data vertex's set
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 {
-			for k := 1; k < len(off); k++ {
-				off[k] += off[k-1]
-			}
-			ix.nbrs = make([]ID, off[len(off)-1])
-		}
-		for set := int32(0); set < 2; set++ {
-			vOff, peers := ix.outOff, ix.outDst // producers
-			if set == 1 {
-				vOff, peers = ix.inOff, ix.inSrc // consumers
-			}
-			for i := range last {
-				last[i] = -1
-			}
-			for i := int32(0); i < n; i++ {
-				p := i
-				if pass == 1 {
-					p = n - 1 - i
-				}
-				for _, d := range peers[vOff[p]:vOff[p+1]] {
-					if d < nt || last[d] == p {
-						continue
-					}
-					last[d] = p
-					k := 2*(d-nt) + set
-					if pass == 0 {
-						off[k]++
-					} else {
-						off[k]--
-						ix.nbrs[off[k]] = ix.ids[p]
-					}
-				}
-			}
-		}
-	}
-	ix.nbrOff = off
 }
 
 // Len returns the number of vertices.
@@ -515,96 +441,110 @@ func (ix *Index) canonVerts() ([]*Vertex, int) {
 		return ix.verts, ix.nTasks
 	}
 	ix.vertsOnce.Do(func() {
-		base := ix.verts
 		extras := slices.Clone(ix.extraVerts)
-		slices.SortFunc(extras, func(a, b *Vertex) int { return cmpID(a.ID, b.ID) })
-		merged := make([]*Vertex, 0, ix.n)
-		i, j := 0, 0
-		for i < len(base) && j < len(extras) {
-			if cmpID(base[i].ID, extras[j].ID) <= 0 {
-				merged = append(merged, base[i])
-				i++
-			} else {
-				merged = append(merged, extras[j])
-				j++
-			}
-		}
-		merged = append(merged, base[i:]...)
-		merged = append(merged, extras[j:]...)
-		ix.sortedVerts = merged
+		byID := func(a, b *Vertex) int { return cmpID(a.ID, b.ID) }
+		slices.SortFunc(extras, byID)
+		ix.sortedVerts = mergeSorted(ix.verts, extras, byID)
 		ix.sortedNT = ix.nTasksAll
 	})
 	return ix.sortedVerts, ix.sortedNT
 }
 
-// canonEdges returns all edges in canonical (src, dst) order. On canonical
-// snapshots this is the base array; on overlay snapshots the merged view is
-// materialized once, lazily, with duplicate endpoints in insertion order as
-// a compaction keeps them.
+// canonEdges returns all edges in canonical (src, dst) order, duplicate
+// endpoints in insertion order, materialized once, lazily. The compacted
+// snapshot walks destinations in canonical order and appends each in-edge
+// to its source's bucket, so each bucket is sorted by destination and
+// duplicates keep their in-list order. An overlay snapshot merges its sorted
+// extras into its compacted snapshot's array, so an epoch walks once.
 func (ix *Index) canonEdges() []*Edge {
-	if ix.canonical {
-		return ix.edges
-	}
 	ix.edgesOnce.Do(func() {
-		base := ix.edges
-		extras := slices.Clone(ix.extraEdges)
-		slices.SortStableFunc(extras, cmpEdge)
-		merged := make([]*Edge, 0, len(base)+len(extras))
-		i, j := 0, 0
-		for i < len(base) && j < len(extras) {
-			if cmpEdge(base[i], extras[j]) <= 0 {
-				merged = append(merged, base[i])
-				i++
-			} else {
-				merged = append(merged, extras[j])
-				j++
+		if !ix.canonical {
+			extras := slices.Clone(ix.extraEdges)
+			slices.SortStableFunc(extras, cmpEdge)
+			ix.sortedEdges = mergeSorted(ix.compacted.canonEdges(), extras, cmpEdge)
+			return
+		}
+		n := len(ix.ids)
+		edges := make([]*Edge, ix.mEdges)
+		cur := slices.Clone(ix.outOff[:n])
+		for d := 0; d < n; d++ {
+			for k := ix.inOff[d]; k < ix.inOff[d+1]; k++ {
+				s := ix.inSrc[k]
+				edges[cur[s]] = ix.inEdges[k]
+				cur[s]++
 			}
 		}
-		merged = append(merged, base[i:]...)
-		merged = append(merged, extras[j:]...)
-		ix.sortedEdges = merged
+		ix.sortedEdges = edges
 	})
 	return ix.sortedEdges
 }
 
+// mergeSorted merges two sorted runs into a new slice, taking from base on
+// ties.
+func mergeSorted[T any](base, extras []T, cmp func(a, b T) int) []T {
+	merged := make([]T, 0, len(base)+len(extras))
+	i, j := 0, 0
+	for i < len(base) && j < len(extras) {
+		if cmp(base[i], extras[j]) <= 0 {
+			merged = append(merged, base[i])
+			i++
+		} else {
+			merged = append(merged, extras[j])
+			j++
+		}
+	}
+	merged = append(merged, base[i:]...)
+	return append(merged, extras[j:]...)
+}
+
 // distinctTasks maps peer slots to their IDs, sorted canonically and
-// deduplicated — the on-demand form of the cached prod/cons sets.
+// deduplicated. Base slot order is canonical order, so when every peer is a
+// base slot it sorts and dedupes the slot numbers and maps only the distinct
+// ones; a single distinct base peer is a one-element view of the base ID
+// array, so the common one-producer or one-consumer file allocates nothing.
 func (ix *Index) distinctTasks(peers []int32) []ID {
 	if len(peers) == 0 {
 		return nil
 	}
-	ids := make([]ID, len(peers))
-	for i, p := range peers {
-		ids[i] = ix.IDAt(p)
+	if slices.Max(peers) >= ix.baseN {
+		ids := make([]ID, len(peers))
+		for i, p := range peers {
+			ids[i] = ix.IDAt(p)
+		}
+		slices.SortFunc(ids, cmpID)
+		return slices.Compact(ids)
 	}
-	slices.SortFunc(ids, cmpID)
-	return slices.Compact(ids)
-}
-
-// neighborSet returns set k of the flat neighbor array (see nbrs), or nil
-// when it is empty.
-func (ix *Index) neighborSet(k int32) []ID {
-	if lo, hi := ix.nbrOff[k], ix.nbrOff[k+1]; lo < hi {
-		return ix.nbrs[lo:hi:hi]
+	var buf [16]int32
+	slots := append(buf[:0], peers...)
+	slices.Sort(slots)
+	if slots = slices.Compact(slots); len(slots) == 1 {
+		p := slots[0]
+		return ix.ids[p : p+1 : p+1]
 	}
-	return nil
+	ids := make([]ID, len(slots))
+	for i, p := range slots {
+		ids[i] = ix.ids[p]
+	}
+	return ids
 }
 
 // Producers returns the distinct producer task IDs of data slot p, sorted
-// (shared — do not modify). p must not be a task slot.
+// (shared — do not modify), computed from its in-list on each call; nil for
+// a task slot.
 func (ix *Index) Producers(p int32) []ID {
-	if p < ix.baseN {
-		return ix.neighborSet(2 * (p - int32(ix.nTasks)))
+	if ix.IDAt(p).Kind == TaskVertex {
+		return nil
 	}
 	_, src := ix.In(p)
 	return ix.distinctTasks(src)
 }
 
 // Consumers returns the distinct consumer task IDs of data slot p, sorted
-// (shared — do not modify). p must not be a task slot.
+// (shared — do not modify), computed from its out-list on each call; nil for
+// a task slot.
 func (ix *Index) Consumers(p int32) []ID {
-	if p < ix.baseN && ix.overlayFor(p) == nil {
-		return ix.neighborSet(2*(p-int32(ix.nTasks)) + 1)
+	if ix.IDAt(p).Kind == TaskVertex {
+		return nil
 	}
 	_, dst := ix.Out(p)
 	return ix.distinctTasks(dst)

@@ -24,9 +24,12 @@
 # the Table 1 detectors and their ranking) on the same graph. The
 # incremental-index rows (IncrementalIndex/append-query-100k and
 # streaming-build-100000) guard the append-only O(delta) snapshot derivation
-# that `dflrun stream` runs on (live serve sessions never take it), and
-# IncrementalIndex/append-query-rebuild-100k the full compaction that every
-# fresh query on a live serve session pays. The
+# that `dflrun stream` runs on (live serve sessions never take it),
+# IncrementalIndex/append-query-rebuild-100k a full compaction of a
+# 100k-vertex chain with nothing carried, and
+# IncrementalIndex/compact-layered-8000 the compaction that every fresh query
+# on a live serve session pays: a property edit on serve-mixed's graph shape,
+# with the fingerprint carried. The
 # ServeIngest row guards the streaming service's durable ingest pipeline
 # (wire → journal → apply → ack, fsync excluded). SavedStateLoad guards the
 # one-pass saved-state decoder behind `datalife -load`, and DetvetWholeRepo
@@ -112,7 +115,7 @@ for name in 'AnalysisLinearity/chain-10000' 'Advisor' 'AdvisorLayered' 'Patterns
     'SimEngine/chain-100k' 'SimEngine/chain-100k-linked' \
     'SimEngine/fan-in-100k' 'SimEngine/faulty-sweep' \
     'IncrementalIndex/append-query-100k' 'IncrementalIndex/append-query-rebuild-100k' \
-    'IncrementalIndex/streaming-build-100000' \
+    'IncrementalIndex/compact-layered-8000' 'IncrementalIndex/streaming-build-100000' \
     'ServeIngest' 'SavedStateLoad' 'DetvetWholeRepo'; do
     old="$(median_ns "$name")"
     new="$(ns_for "$out" "$name")"
